@@ -324,21 +324,17 @@ peer_state& parcelhandler::hydrate_locked(peer_entry& e)
 {
     if (e.live)
         return *e.live;
-    bool const was_tomb = e.tombstoned;
-    bool const was_dead = was_tomb && e.tomb.status == peer_status::dead;
+    bool const was_dead =
+        e.tombstoned && e.tomb.status == peer_status::dead;
     peer_state& peer =
         store_.hydrate(e, self_epoch_.load(std::memory_order_relaxed));
     std::int64_t const now = now_ns();
-    if (was_tomb)
+    if (was_dead)
     {
-        counters_.peers_rehydrated.fetch_add(1, std::memory_order_relaxed);
-        if (was_dead)
-        {
-            // The quarantine gauge moves back to the live column; the
-            // put_parcel fail-fast gate keeps reading the sum.
-            tombstoned_dead_.fetch_sub(1, std::memory_order_release);
-            dead_peers_.fetch_add(1, std::memory_order_release);
-        }
+        // The quarantine gauge moves back to the live column; the
+        // put_parcel fail-fast gate keeps reading the sum.
+        tombstoned_dead_.fetch_sub(1, std::memory_order_release);
+        dead_peers_.fetch_add(1, std::memory_order_release);
     }
     // Hydration is contact: restart the idle clock, and hand the entry to
     // the due ring so liveness/heartbeat service resumes (entry -> ring
@@ -384,7 +380,6 @@ bool parcelhandler::try_evict_locked(
         tombstoned_dead_.fetch_add(1, std::memory_order_release);
     }
     store_.demote(e);
-    counters_.peers_evicted.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
 

@@ -1,20 +1,16 @@
 /// \file counters_setup.cpp
 /// Registers all built-in performance counter types with the runtime's
-/// registry — including the counters the paper adds to HPX:
+/// registry — including the counters the paper adds to HPX: Eq. 2
+/// (/threads/time/average-overhead), Eq. 3 (/threads/background-work),
+/// Eq. 4 (/threads/background-overhead) and the /coalescing/*@action
+/// family — plus supporting counters for every layer of the stack.
 ///
-///   /threads/time/average-overhead      (Eq. 2)
-///   /threads/background-work            (Eq. 3, added by the paper)
-///   /threads/background-overhead        (Eq. 4, added by the paper)
-///   /coalescing/count/parcels@action
-///   /coalescing/count/messages@action
-///   /coalescing/count/average-parcels-per-message@action
-///   /coalescing/time/average-parcel-arrival@action
-///   /coalescing/time/parcel-arrival-histogram@action
-///
-/// plus supporting counters for parcels, messages, data volume, task
-/// counts and the flush-timer service.  Instance selection follows HPX:
-/// `{locality#N}` reads one locality, empty or `{locality#*/total}`
-/// aggregates over all of them.
+/// Each counter is one table row {path, shape, source, help}.  The shape
+/// fixes reset and aggregation semantics; the source is a struct member or,
+/// for derived values only, a small lambda (DESIGN.md §3).  Instance
+/// selection follows HPX: `{locality#N}` reads one locality, empty or
+/// `{locality#*/total}` aggregates over all of them, and a locality this
+/// process does not host yields no counter.
 
 #include <coal/runtime/runtime.hpp>
 
@@ -26,16 +22,17 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace coal {
 
 namespace {
 
-using perf::array_function_counter;
 using perf::counter_path;
 using perf::counter_ptr;
 using perf::counter_value;
+using cc = coalescing::coalescing_counters;
 
 /// Scalar counter with reset-by-baseline semantics: reading with reset
 /// (or reset()) re-zeroes the reported value without disturbing the
@@ -106,944 +103,507 @@ private:
     double den_base_ = 0.0;
 };
 
+/// How a row is reset and folded over the selected items.
+enum class shape
+{
+    cumulative,    ///< summed; reset re-baselines (baseline_counter)
+    gauge,         ///< summed; no reset (function_counter)
+    max,           ///< gauge folded with max instead of sum
+    ratio,         ///< summed value / summed per, re-baselined on reset
+    histogram,     ///< element-wise summed arrival histogram
+};
+
+/// Where a row's value comes from — exactly one member is set: a read of
+/// each selected locality, a process-global read that ignores the
+/// selection, or a read of each selected locality's @action counter block.
+struct source
+{
+    std::function<double(locality&)> local = {};
+    std::function<double()> global = {};
+    std::function<double(cc const&)> action = {};
+};
+
+struct row
+{
+    char const* path;
+    shape kind;
+    source value;
+    char const* help;
+    source per = {};    ///< ratio denominator
+};
+
+/// Fold `read` over the selected items: the sum, or the max if `take_max`.
+template <typename Item, typename Read>
+std::function<double()> fold(
+    std::vector<Item> const& items, Read const& read, bool take_max = false)
+{
+    return [items, read, take_max] {
+        double total = 0.0;
+        for (auto const& item : items)
+        {
+            double const v = read(*item);
+            total = take_max ? std::max(total, v) : total + v;
+        }
+        return total;
+    };
+}
+
+std::function<double()> fold(std::vector<locality*> const& selected,
+    source const& s, bool take_max = false)
+{
+    return s.global ? s.global : fold(selected, s.local, take_max);
+}
+
+std::function<double()> fold(std::vector<std::shared_ptr<cc>> const& blocks,
+    source const& s, bool take_max = false)
+{
+    return fold(blocks, s.action, take_max);
+}
+
+/// Element-wise sum of the blocks' arrival histograms (all blocks share
+/// the default bucketing, including the 3-entry header); reset clears
+/// every block's histogram.
+counter_ptr histogram_counter(std::vector<std::shared_ptr<cc>> const& blocks)
+{
+    return std::make_shared<perf::array_function_counter>(
+        [blocks] {
+            std::vector<std::int64_t> total =
+                blocks.front()->arrival_histogram();
+            for (std::size_t i = 1; i < blocks.size(); ++i)
+            {
+                auto const h = blocks[i]->arrival_histogram();
+                for (std::size_t j = 3; j < total.size() && j < h.size(); ++j)
+                    total[j] += h[j];
+            }
+            return total;
+        },
+        [blocks] {
+            for (auto const& b : blocks)
+                b->reset_arrival_histogram();
+        });
+}
+
+/// The counter class implementing `r`'s shape over the selected items.
+template <typename Item>
+counter_ptr make_counter(row const& r, std::vector<Item> const& items)
+{
+    auto value = fold(items, r.value, r.kind == shape::max);
+    switch (r.kind)
+    {
+    case shape::cumulative:
+        return std::make_shared<baseline_counter>(std::move(value));
+    case shape::ratio:
+        return std::make_shared<ratio_counter>(
+            std::move(value), fold(items, r.per));
+    default:    // gauge, max
+        return std::make_shared<perf::function_counter>(std::move(value));
+    }
+}
+
 }    // namespace
 
 void runtime::register_counters()
 {
-    using threading::scheduler_snapshot;
+    using enum shape;
+    using C = parcel::parcelhandler_counters;
+    using S = threading::scheduler_snapshot;
+    using P = parcel::parcelhandler::peer_store_stats;
+    using H = parcel::parcelhandler::health_snapshot;
+    using B = serialization::buffer_pool_stats;
+    using W = net::socket_wire_stats;
+    using T = timing::timer_service_stats;
+    using X = net::transport_stats;
 
-    // Resolve a counter instance to a snapshot source: one locality or
-    // the aggregate.  Returns nullopt for an out-of-range locality.
-    auto snapshot_source = [this](counter_path const& path)
-        -> std::optional<std::function<scheduler_snapshot()>> {
-        if (auto loc = path.locality())
-        {
-            if (!hosts(*loc))
-                return std::nullopt;
-            locality* l = localities_[*loc - first_rank_].get();
-            return [l] { return l->scheduler().snapshot(); };
-        }
-        return [this] { return aggregate_snapshot(); };
-    };
-
-    auto make_scalar = [snapshot_source](
-                           double (*extract)(scheduler_snapshot const&)) {
-        return [snapshot_source, extract](counter_path const& path)
-                   -> counter_ptr {
-            auto source = snapshot_source(path);
-            if (!source)
-                return nullptr;
-            return std::make_shared<baseline_counter>(
-                [src = *source, extract] { return extract(src()); });
-        };
-    };
-
-    counters_.register_counter_type("/threads/count/cumulative",
-        "number of executed tasks (HPX threads)",
-        make_scalar([](scheduler_snapshot const& s) {
-            return static_cast<double>(s.tasks_executed);
-        }));
-
-    counters_.register_counter_type("/threads/time/func",
-        "cumulative task duration Σt_func (Eq. 1), ns",
-        make_scalar([](scheduler_snapshot const& s) {
-            return static_cast<double>(s.func_time_ns);
-        }));
-
-    counters_.register_counter_type("/threads/time/exec",
-        "cumulative useful execution time Σt_exec, ns",
-        make_scalar([](scheduler_snapshot const& s) {
-            return static_cast<double>(s.exec_time_ns);
-        }));
-
-    counters_.register_counter_type("/threads/background-work",
-        "cumulative background-work duration (Eq. 3), ns",
-        make_scalar([](scheduler_snapshot const& s) {
-            return static_cast<double>(s.background_time_ns);
-        }));
-
-    counters_.register_counter_type("/threads/time/idle-polls",
-        "time spent in background polls that found no work, ns "
-        "(excluded from Eq. 3/4)",
-        make_scalar([](scheduler_snapshot const& s) {
-            return static_cast<double>(s.idle_poll_time_ns);
-        }));
-
-    // Average overhead needs joint reset of two sources; a ratio counter
-    // over (func - exec) and task count gives Eq. 2 with per-interval
-    // semantics.
-    counters_.register_counter_type("/threads/time/average-overhead",
-        "average per-task management overhead (Eq. 2), ns/task",
-        [snapshot_source](counter_path const& path) -> counter_ptr {
-            auto source = snapshot_source(path);
-            if (!source)
-                return nullptr;
-            auto src = *source;
-            return std::make_shared<ratio_counter>(
-                [src] {
-                    auto const s = src();
-                    return static_cast<double>(
-                        s.func_time_ns - s.exec_time_ns);
-                },
-                [src] {
-                    auto const s = src();
-                    return static_cast<double>(s.tasks_executed);
-                });
-        });
-
-    counters_.register_counter_type("/threads/background-overhead",
-        "network overhead n_oh = Σt_bg / Σt_func (Eq. 4), ratio",
-        [snapshot_source](counter_path const& path) -> counter_ptr {
-            auto source = snapshot_source(path);
-            if (!source)
-                return nullptr;
-            auto src = *source;
-            // Denominator includes background time: HPX runs background
-            // work as HPX threads, so Σt_func subsumes it there (see
-            // scheduler_snapshot::network_overhead()).
-            return std::make_shared<ratio_counter>(
-                [src] {
-                    return static_cast<double>(src().background_time_ns);
-                },
-                [src] {
-                    auto const s = src();
-                    return static_cast<double>(
-                        s.func_time_ns + s.background_time_ns);
-                });
-        });
-
-    // ---- parcel / message / data volume --------------------------------
-
-    auto parcel_scalar = [this](std::function<double(
-                                    parcel::parcelhandler_counters const&)>
-                                    extract) {
-        return [this, extract](counter_path const& path) -> counter_ptr {
-            if (auto loc = path.locality())
-            {
-                if (!hosts(*loc))
-                    return nullptr;
-                locality* l = localities_[*loc - first_rank_].get();
-                return std::make_shared<baseline_counter>(
-                    [l, extract] { return extract(l->parcels().counters()); });
-            }
-            return std::make_shared<baseline_counter>([this, extract] {
-                double total = 0.0;
-                for (auto const& l : localities_)
-                    total += extract(l->parcels().counters());
-                return total;
-            });
-        };
-    };
-
-    using ph_counters = parcel::parcelhandler_counters;
-    counters_.register_counter_type("/parcels/count/sent",
-        "parcels handed to the parcel layer for remote delivery",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.parcels_sent.load());
-        }));
-    counters_.register_counter_type("/parcels/count/received",
-        "parcels decoded from incoming messages",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.parcels_received.load());
-        }));
-    counters_.register_counter_type("/parcels/count/routed-local",
-        "parcels short-circuited to the local scheduler",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.parcels_local.load());
-        }));
-    counters_.register_counter_type("/messages/count/sent",
-        "wire messages transmitted",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.messages_sent.load());
-        }));
-    counters_.register_counter_type("/messages/count/received",
-        "wire messages received",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.messages_received.load());
-        }));
-    counters_.register_counter_type("/data/count/sent",
-        "bytes transmitted (message frames)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.bytes_sent.load());
-        }));
-    counters_.register_counter_type("/data/count/received",
-        "bytes received (message frames)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.bytes_received.load());
-        }));
-
-    // ---- hierarchical (two-level) aggregation --------------------------
-
-    counters_.register_counter_type("/coal/hierarchy/relayed",
-        "parcels received as a node relay and re-routed to their final "
-        "destination",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.parcels_relayed.load());
-        }));
-    counters_.register_counter_type("/coal/hierarchy/fanned-out",
-        "relayed parcels forwarded over intra-node links (the fan-out leg)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.parcels_fanned_out.load());
-        }));
-    counters_.register_counter_type("/coal/hierarchy/relay-confirmed",
-        "forwarded parcels acknowledged by their final destination (the "
-        "completion half of the relay custody ledger)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.parcels_relay_confirmed.load());
-        }));
-    counters_.register_counter_type("/coal/hierarchy/relay-failed",
-        "forwarded parcels lost from relay custody (destination death, "
-        "link down, or relay crash after confirming the origin)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.parcels_relay_failed.load());
-        }));
-    counters_.register_counter_type("/coal/hierarchy/inter-node-messages",
-        "wire messages sent across a node boundary (topology-classified)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.messages_inter_node.load());
-        }));
-    counters_.register_counter_type("/coal/hierarchy/intra-node-messages",
-        "wire messages sent within a node (topology-classified)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.messages_intra_node.load());
-        }));
-
-    // ---- reliability & fault injection (/net) --------------------------
-
-    counters_.register_counter_type("/net/count/drops",
-        "messages lost by the transport (shutdown races, missing handlers, "
-        "injected faults)",
-        [this](counter_path const&) -> counter_ptr {
-            return std::make_shared<baseline_counter>([this] {
-                return static_cast<double>(
-                    transport_->stats().messages_dropped);
-            });
-        });
-    counters_.register_counter_type("/net/count/drops-injected",
-        "messages dropped by the fault plan",
-        [this](counter_path const&) -> counter_ptr {
-            return std::make_shared<baseline_counter>([this] {
-                return static_cast<double>(transport_->stats().drops_injected);
-            });
-        });
-    counters_.register_counter_type("/net/count/duplicates-injected",
-        "duplicate messages forged by the fault plan",
-        [this](counter_path const&) -> counter_ptr {
-            return std::make_shared<baseline_counter>([this] {
-                return static_cast<double>(
-                    transport_->stats().duplicates_injected);
-            });
-        });
-    counters_.register_counter_type("/net/count/retransmits",
-        "frames retransmitted by the reliability layer",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.retransmits.load());
-        }));
-    counters_.register_counter_type("/net/count/duplicates-suppressed",
-        "received frames discarded as duplicates by the reliability layer",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.duplicates_suppressed.load());
-        }));
-    counters_.register_counter_type("/net/count/acks",
-        "standalone ack frames emitted",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.acks_sent.load());
-        }));
-    counters_.register_counter_type("/net/count/circuit-breaker-trips",
-        "times a per-link circuit breaker opened (coalescing bypassed)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.circuit_breaker_trips.load());
-        }));
-    counters_.register_counter_type("/net/time/average-ack-latency",
-        "mean time from first transmission to acknowledgement, µs",
-        [this](counter_path const& path) -> counter_ptr {
-            std::vector<locality*> selected;
-            if (auto loc = path.locality())
-            {
-                if (!hosts(*loc))
-                    return nullptr;
-                selected.push_back(localities_[*loc - first_rank_].get());
-            }
-            else
-            {
-                for (auto const& l : localities_)
-                    selected.push_back(l.get());
-            }
-            return std::make_shared<ratio_counter>(
-                [selected] {
-                    double ns = 0.0;
-                    for (auto* l : selected)
-                        ns += static_cast<double>(
-                            l->parcels().counters().ack_latency_ns.load());
-                    return ns / 1000.0;    // report µs
-                },
-                [selected] {
-                    double n = 0.0;
-                    for (auto* l : selected)
-                        n += static_cast<double>(
-                            l->parcels().counters().acked_messages.load());
-                    return n;
-                });
-        });
-
-    // ---- batched receive pipeline --------------------------------------
-
-    // Ratio of two parcelhandler counters over the selected localities.
-    auto parcel_ratio = [this](std::function<double(ph_counters const&)> num,
-                            std::function<double(ph_counters const&)> den) {
-        return [this, num, den](counter_path const& path) -> counter_ptr {
-            std::vector<locality*> selected;
-            if (auto loc = path.locality())
-            {
-                if (!hosts(*loc))
-                    return nullptr;
-                selected.push_back(localities_[*loc - first_rank_].get());
-            }
-            else
-            {
-                for (auto const& l : localities_)
-                    selected.push_back(l.get());
-            }
-            return std::make_shared<ratio_counter>(
-                [selected, num] {
-                    double total = 0.0;
-                    for (auto* l : selected)
-                        total += num(l->parcels().counters());
-                    return total;
-                },
-                [selected, den] {
-                    double total = 0.0;
-                    for (auto* l : selected)
-                        total += den(l->parcels().counters());
-                    return total;
-                });
-        };
-    };
-
-    counters_.register_counter_type("/threads/receive-pipeline/count/drains",
-        "progress_receive calls that drained at least one frame",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.receive_drains.load());
-        }));
-    counters_.register_counter_type("/threads/receive-pipeline/count/frames",
-        "inbox frames consumed by budgeted receive drains",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.frames_drained.load());
-        }));
-    counters_.register_counter_type("/threads/receive-pipeline/count/chunks",
-        "chunk tasks bulk-spawned by the receive pipeline",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.chunk_tasks.load());
-        }));
-    counters_.register_counter_type(
-        "/threads/receive-pipeline/frames-per-drain",
-        "average inbox frames consumed per draining progress_receive call",
-        parcel_ratio(
-            [](ph_counters const& c) {
-                return static_cast<double>(c.frames_drained.load());
-            },
-            [](ph_counters const& c) {
-                return static_cast<double>(c.receive_drains.load());
-            }));
-    counters_.register_counter_type(
-        "/threads/receive-pipeline/chunk-occupancy",
-        "average parcels carried per chunk task",
-        parcel_ratio(
-            [](ph_counters const& c) {
-                return static_cast<double>(c.chunk_parcels.load());
-            },
-            [](ph_counters const& c) {
-                return static_cast<double>(c.chunk_tasks.load());
-            }));
-    counters_.register_counter_type(
-        "/threads/receive-pipeline/time/offloaded-decode",
-        "argument-decode time moved off the background critical path onto "
-        "executing workers, ns",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.decode_offload_ns.load());
-        }));
-    counters_.register_counter_type("/net/count/duplicate-overhead-avoided",
-        "duplicate frames recognized from the frame prefix before the "
-        "per-message receive overhead was paid",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.duplicate_overhead_avoided.load());
-        }));
-
-    // ---- socket parcelport (/net/wire) ---------------------------------
-    //
-    // Registered unconditionally; on a sim/loopback runtime (no socket
-    // transport) every wire counter reads 0, so counters_tour and the
-    // counter tests enumerate a stable catalogue regardless of transport.
-
-    auto wire_scalar = [this](std::uint64_t net::socket_wire_stats::*member) {
-        return [this, member](counter_path const&) -> counter_ptr {
-            return std::make_shared<baseline_counter>([this, member] {
-                if (socket_transport_ == nullptr)
-                    return 0.0;
-                return static_cast<double>(
-                    socket_transport_->wire_stats().*member);
-            });
-        };
-    };
-
-    counters_.register_counter_type("/net/wire/count/bytes-sent",
-        "bytes written to sockets, frame headers included",
-        wire_scalar(&net::socket_wire_stats::bytes_sent));
-    counters_.register_counter_type("/net/wire/count/bytes-received",
-        "bytes read from sockets, frame headers included",
-        wire_scalar(&net::socket_wire_stats::bytes_received));
-    counters_.register_counter_type("/net/wire/count/frames-sent",
-        "complete frames (data + control) written to sockets",
-        wire_scalar(&net::socket_wire_stats::frames_sent));
-    counters_.register_counter_type("/net/wire/count/frames-received",
-        "complete frames received and CRC-verified",
-        wire_scalar(&net::socket_wire_stats::frames_received));
-    counters_.register_counter_type("/net/wire/count/reconnects",
-        "established connections lost and scheduled for reconnect",
-        wire_scalar(&net::socket_wire_stats::reconnects));
-    counters_.register_counter_type("/net/wire/count/connects",
-        "successful outbound connects (incl. reconnects)",
-        wire_scalar(&net::socket_wire_stats::connects));
-    counters_.register_counter_type("/net/wire/count/accepts",
-        "inbound connections accepted",
-        wire_scalar(&net::socket_wire_stats::accepts));
-    counters_.register_counter_type(
-        "/net/wire/count/partial-write-resumptions",
-        "frame writes resumed after a short write (socket buffer full)",
-        wire_scalar(&net::socket_wire_stats::partial_write_resumptions));
-    counters_.register_counter_type(
-        "/net/wire/count/partial-read-resumptions",
-        "frame reads resumed after a partial frame arrived",
-        wire_scalar(&net::socket_wire_stats::partial_read_resumptions));
-    counters_.register_counter_type("/net/wire/count/crc-drops",
-        "frames discarded for a payload CRC mismatch (never executed; "
-        "recovered by retransmission)",
-        wire_scalar(&net::socket_wire_stats::crc_drops));
-    counters_.register_counter_type("/net/wire/count/desync-drops",
-        "fatal stream decode errors (bad magic/version/header CRC) that "
-        "cut the connection",
-        wire_scalar(&net::socket_wire_stats::desync_drops));
-    counters_.register_counter_type("/net/wire/count/oversized-drops",
-        "frames rejected for a length prefix above the frame cap",
-        wire_scalar(&net::socket_wire_stats::oversized_drops));
-    counters_.register_counter_type("/net/wire/count/truncated-drops",
-        "partial frames discarded at connection end",
-        wire_scalar(&net::socket_wire_stats::truncated_drops));
-    counters_.register_counter_type("/net/wire/count/connect-failures",
-        "outbound connect attempts that failed (retried with backoff)",
-        wire_scalar(&net::socket_wire_stats::connect_failures));
-    counters_.register_counter_type("/net/wire/count/accept-failures",
-        "accept() failures on listening sockets",
-        wire_scalar(&net::socket_wire_stats::accept_failures));
-    counters_.register_counter_type("/net/wire/count/handshake-failures",
-        "HELLO exchanges rejected (geometry or action-registry digest "
-        "mismatch)",
-        wire_scalar(&net::socket_wire_stats::handshake_failures));
-    counters_.register_counter_type("/net/wire/count/backlog-drops",
-        "frames shed at the per-connection outbound backlog cap",
-        wire_scalar(&net::socket_wire_stats::backlog_drops));
-
-    // ---- flow control / overload protection (/net/flow) ----------------
-
-    counters_.register_counter_type("/net/flow/count/shed",
-        "best-effort parcels shed by admission control under critical "
-        "pressure",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.parcels_shed.load());
-        }));
-    counters_.register_counter_type("/net/flow/count/deferrals",
-        "send jobs deferred on an exhausted credit window",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.sends_deferred.load());
-        }));
-    counters_.register_counter_type("/net/flow/count/releases",
-        "deferred send jobs re-queued after the window opened",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.sends_released.load());
-        }));
-    counters_.register_counter_type("/net/flow/count/credit-updates",
-        "credit window grants applied from peer advertisements",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.credit_updates.load());
-        }));
-    counters_.register_counter_type("/net/flow/count/link-down",
-        "parcels failed with link_down (breaker open, in-flight cap "
-        "exhausted)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.link_down_failures.load());
-        }));
-    counters_.register_counter_type("/net/flow/count/pressure-transitions",
-        "process-level pressure state changes (ok/soft/critical)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.pressure_transitions.load());
-        }));
-    counters_.register_counter_type("/net/flow/count/starvation-trips",
-        "circuit breakers opened by the credit-starvation slow-peer "
-        "detector",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.starvation_trips.load());
-        }));
-    counters_.register_counter_type("/net/flow/pressure",
-        "current pressure state toward the worst peer "
-        "(gauge: 0=ok, 1=soft, 2=critical)",
-        [this](counter_path const& path) -> counter_ptr {
-            std::vector<locality*> selected;
-            if (auto loc = path.locality())
-            {
-                if (!hosts(*loc))
-                    return nullptr;
-                selected.push_back(localities_[*loc - first_rank_].get());
-            }
-            else
-            {
-                for (auto const& l : localities_)
-                    selected.push_back(l.get());
-            }
-            return std::make_shared<perf::function_counter>([selected] {
-                pressure_state worst = pressure_state::ok;
-                for (auto* l : selected)
-                    worst = max_pressure(
-                        worst, l->parcels().current_pressure());
-                return static_cast<double>(worst);
-            });
-        });
-
-    // ---- membership / failure detection (/net/health) -------------------
-
-    counters_.register_counter_type("/net/health/count/heartbeats",
-        "standalone liveness frames emitted on idle links (and dead-peer "
-        "rejoin probes)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.heartbeats_sent.load());
-        }));
-    counters_.register_counter_type("/net/health/count/suspected",
-        "suspicion escalations (phi crossed suspect_phi)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.peers_suspected.load());
-        }));
-    counters_.register_counter_type("/net/health/count/deaths",
-        "peers declared dead by the phi-accrual failure detector",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.peers_declared_dead.load());
-        }));
-    counters_.register_counter_type("/net/health/count/rejoins",
-        "peers readmitted under a fresh incarnation epoch",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.peer_rejoins.load());
-        }));
-    counters_.register_counter_type("/net/health/count/stale-epoch-frames",
-        "frames discarded because they belonged to a fenced incarnation "
-        "(wrong src or dst epoch)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.stale_epoch_frames.load());
-        }));
-    counters_.register_counter_type("/net/health/count/refutes",
-        "false-positive deaths healed by epoch refutation (this locality "
-        "adopted the higher epoch an accuser's dead-peer probe demanded)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.epoch_refutes.load());
-        }));
-    counters_.register_counter_type("/net/health/count/confirmed-parcels",
-        "parcels whose frame the peer acknowledged (sender-side confirmed "
-        "delivery)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.parcels_confirmed.load());
-        }));
-
-    // Membership gauges: sum the selected localities' health snapshots.
-    auto health_gauge = [this](auto field) {
-        return [this, field](counter_path const& path) -> counter_ptr {
-            std::vector<locality*> selected;
-            if (auto loc = path.locality())
-            {
-                if (!hosts(*loc))
-                    return nullptr;
-                selected.push_back(localities_[*loc - first_rank_].get());
-            }
-            else
-            {
-                for (auto const& l : localities_)
-                    selected.push_back(l.get());
-            }
-            return std::make_shared<perf::function_counter>(
-                [selected, field] {
-                    double total = 0.0;
-                    for (auto* l : selected)
-                        total += static_cast<double>(
-                            field(l->parcels().health()));
-                    return total;
-                });
-        };
-    };
-    counters_.register_counter_type("/net/health/known-peers",
-        "peers with membership state at this locality (gauge)",
-        health_gauge([](parcel::parcelhandler::health_snapshot const& s) {
-            return s.known_peers;
-        }));
-    counters_.register_counter_type("/net/health/suspected-peers",
-        "peers currently under suspicion (gauge)",
-        health_gauge([](parcel::parcelhandler::health_snapshot const& s) {
-            return s.suspected_peers;
-        }));
-    counters_.register_counter_type("/net/health/dead-peers",
-        "peers currently declared dead (gauge; rejoin clears)",
-        health_gauge([](parcel::parcelhandler::health_snapshot const& s) {
-            return s.dead_peers;
-        }));
-
-    // ---- sharded peer store / idle eviction (/net/peers) ----------------
-    // Same shape as the health gauges, but read from the store's own
-    // lock-free gauges (peer_stats()).  shard_max_occupancy takes the max
-    // across localities rather than summing — it is a skew diagnostic.
-
-    auto store_gauge = [this](auto field, bool take_max = false) {
-        return [this, field, take_max](counter_path const& path)
-                   -> counter_ptr {
-            std::vector<locality*> selected;
-            if (auto loc = path.locality())
-            {
-                if (!hosts(*loc))
-                    return nullptr;
-                selected.push_back(localities_[*loc - first_rank_].get());
-            }
-            else
-            {
-                for (auto const& l : localities_)
-                    selected.push_back(l.get());
-            }
-            return std::make_shared<perf::function_counter>(
-                [selected, field, take_max] {
-                    double total = 0.0;
-                    for (auto* l : selected)
-                    {
-                        double const v = static_cast<double>(
-                            field(l->parcels().peer_stats()));
-                        total = take_max ? std::max(total, v) : total + v;
-                    }
-                    return total;
-                });
-        };
-    };
-    counters_.register_counter_type("/net/peers/active",
-        "hydrated (resident) peer entries in the sharded store (gauge)",
-        store_gauge([](parcel::parcelhandler::peer_store_stats const& s) {
-            return s.active;
-        }));
-    counters_.register_counter_type("/net/peers/evicted",
-        "idle peers demoted to compact tombstones (gauge)",
-        store_gauge([](parcel::parcelhandler::peer_store_stats const& s) {
-            return s.evicted;
-        }));
-    counters_.register_counter_type("/net/peers/shard-max-occupancy",
-        "entries in the fullest shard (max across localities; hash-skew "
-        "diagnostic)",
-        store_gauge(
-            [](parcel::parcelhandler::peer_store_stats const& s) {
-                return s.shard_max_occupancy;
-            },
-            true));
-    counters_.register_counter_type("/net/peers/count/evictions",
-        "idle peers demoted to tombstones by the clock-hand sweeper",
-        store_gauge([](parcel::parcelhandler::peer_store_stats const& s) {
-            return s.evictions;
-        }));
-    counters_.register_counter_type("/net/peers/count/rehydrations",
-        "tombstoned peers restored to full state on renewed contact",
-        store_gauge([](parcel::parcelhandler::peer_store_stats const& s) {
-            return s.rehydrations;
-        }));
-
-    // ---- unified delivery-failure taxonomy (/net/count/delivery-errors) --
-    // One counter per delivery_error cause; every undeliverable parcel is
-    // counted in exactly one of them (the fail_parcels funnel).
-
-    counters_.register_counter_type("/net/count/delivery-errors/shed-overload",
-        "parcels refused by admission control under critical pressure",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.parcels_shed.load());
-        }));
-    counters_.register_counter_type("/net/count/delivery-errors/link-down",
-        "parcels failed because the link was down (breaker open, byte cap "
-        "exhausted)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.link_down_failures.load());
-        }));
-    counters_.register_counter_type("/net/count/delivery-errors/peer-failed",
-        "parcels failed because the destination locality died (delivery "
-        "not confirmed)",
-        parcel_scalar([](ph_counters const& c) {
-            return static_cast<double>(c.peer_failed_failures.load());
-        }));
-
-    // ---- coalescing counters (the paper's §II-B additions) -------------
-
-    // Collect the per-action counter blocks selected by a path: one
-    // locality's or all localities'.
-    auto coalescing_blocks = [this](counter_path const& path)
-        -> std::vector<std::shared_ptr<coalescing::coalescing_counters>> {
-        std::vector<std::shared_ptr<coalescing::coalescing_counters>> out;
-        if (path.parameters.empty())
-            return out;
-        if (auto loc = path.locality())
-        {
-            if (!hosts(*loc))
-                return out;
-            if (auto c = localities_[*loc - first_rank_]->coalescing().counters(
-                    path.parameters))
-                out.push_back(std::move(c));
-            return out;
-        }
+    // The one instance selector: `{locality#N}` selects locality N if this
+    // process hosts it and nullopt otherwise; any other instance selects
+    // every hosted locality.
+    auto select = [this](counter_path const& path)
+        -> std::optional<std::vector<locality*>> {
+        auto const loc = path.locality();
+        if (loc && !hosts(*loc))
+            return std::nullopt;
+        std::vector<locality*> selected;
         for (auto const& l : localities_)
         {
-            if (auto c = l->coalescing().counters(path.parameters))
-                out.push_back(std::move(c));
+            if (!loc || l->id().value() == *loc)
+                selected.push_back(l.get());
         }
-        return out;
+        return selected;
     };
 
-    using cc = coalescing::coalescing_counters;
-    auto coalescing_scalar =
-        [coalescing_blocks](std::function<double(
-                std::vector<std::shared_ptr<cc>> const&)>
-                reduce) {
-            return [coalescing_blocks, reduce](
-                       counter_path const& path) -> counter_ptr {
-                auto blocks = coalescing_blocks(path);
+    // Sources reading `member` of the struct `view(l)` returns for each
+    // selected locality, or of the process-global struct `view()`.
+    auto local = [](auto view) {
+        return [view](auto member) {
+            return source{[view, member](locality& l) {
+                return static_cast<double>(view(l).*member);
+            }};
+        };
+    };
+    auto global = [](auto view) {
+        return [view](auto member) {
+            return source{{}, [view, member] {
+                return static_cast<double>(view().*member);
+            }};
+        };
+    };
+    auto action = [](std::function<double(cc const&)> read) {
+        return source{{}, {}, std::move(read)};
+    };
+    auto parcels = local(
+        [](locality& l) -> C const& { return l.parcels().counters(); });
+    auto threads = local([](locality& l) { return l.scheduler().snapshot(); });
+    auto store = local([](locality& l) { return l.parcels().peer_stats(); });
+    auto health = local([](locality& l) { return l.parcels().health(); });
+    auto pool =
+        global([] { return serialization::buffer_pool::global().stats(); });
+    auto timer = global([this] { return timers_->stats(); });
+    auto transport = global([this] { return transport_->stats(); });
+    // Without a socket transport every wire counter reads 0, so the
+    // catalogue is the same whatever the transport.
+    auto wire = global([this] {
+        return socket_transport_ != nullptr ? socket_transport_->wire_stats() :
+                                              W{};
+    });
+
+    std::vector<row> const rows{
+        {"/threads/count/cumulative", cumulative, threads(&S::tasks_executed),
+            "number of executed tasks (HPX threads)"},
+        {"/threads/time/func", cumulative, threads(&S::func_time_ns),
+            "cumulative task duration Σt_func (Eq. 1), ns"},
+        {"/threads/time/exec", cumulative, threads(&S::exec_time_ns),
+            "cumulative useful execution time Σt_exec, ns"},
+        {"/threads/background-work", cumulative,
+            threads(&S::background_time_ns),
+            "cumulative background-work duration (Eq. 3), ns"},
+        {"/threads/time/idle-polls", cumulative, threads(&S::idle_poll_time_ns),
+            "time spent in background polls that found no work, ns (excluded "
+            "from Eq. 3/4)"},
+        {"/threads/time/average-overhead", ratio, {[](locality& l) {
+                auto const s = l.scheduler().snapshot();
+                return static_cast<double>(s.func_time_ns - s.exec_time_ns);
+            }},
+            "average per-task management overhead (Eq. 2), ns/task",
+            threads(&S::tasks_executed)},
+        // Denominator includes background time: HPX runs background work as
+        // HPX threads, so Σt_func subsumes it there (see
+        // scheduler_snapshot::network_overhead()).
+        {"/threads/background-overhead", ratio, threads(&S::background_time_ns),
+            "network overhead n_oh = Σt_bg / Σt_func (Eq. 4), ratio",
+            {[](locality& l) {
+                auto const s = l.scheduler().snapshot();
+                return static_cast<double>(
+                    s.func_time_ns + s.background_time_ns);
+            }}},
+        // ---- parcel / message / data volume ----------------------------
+        {"/parcels/count/sent", cumulative, parcels(&C::parcels_sent),
+            "parcels handed to the parcel layer for remote delivery"},
+        {"/parcels/count/received", cumulative, parcels(&C::parcels_received),
+            "parcels decoded from incoming messages"},
+        {"/parcels/count/routed-local", cumulative, parcels(&C::parcels_local),
+            "parcels short-circuited to the local scheduler"},
+        {"/messages/count/sent", cumulative, parcels(&C::messages_sent),
+            "wire messages transmitted"},
+        {"/messages/count/received", cumulative, parcels(&C::messages_received),
+            "wire messages received"},
+        {"/data/count/sent", cumulative, parcels(&C::bytes_sent),
+            "bytes transmitted (message frames)"},
+        {"/data/count/received", cumulative, parcels(&C::bytes_received),
+            "bytes received (message frames)"},
+        // ---- hierarchical (two-level) aggregation ----------------------
+        {"/coal/hierarchy/relayed", cumulative, parcels(&C::parcels_relayed),
+            "parcels received as a node relay and re-routed to their final "
+            "destination"},
+        {"/coal/hierarchy/fanned-out", cumulative,
+            parcels(&C::parcels_fanned_out),
+            "relayed parcels forwarded over intra-node links (the fan-out "
+            "leg)"},
+        {"/coal/hierarchy/relay-confirmed", cumulative,
+            parcels(&C::parcels_relay_confirmed),
+            "forwarded parcels acknowledged by their final destination (the "
+            "completion half of the relay custody ledger)"},
+        {"/coal/hierarchy/relay-failed", cumulative,
+            parcels(&C::parcels_relay_failed),
+            "forwarded parcels lost from relay custody (destination death, "
+            "link down, or relay crash after confirming the origin)"},
+        {"/coal/hierarchy/inter-node-messages", cumulative,
+            parcels(&C::messages_inter_node),
+            "wire messages sent across a node boundary (topology-classified)"},
+        {"/coal/hierarchy/intra-node-messages", cumulative,
+            parcels(&C::messages_intra_node),
+            "wire messages sent within a node (topology-classified)"},
+        // ---- reliability & fault injection (/net) ----------------------
+        {"/net/count/drops", cumulative, transport(&X::messages_dropped),
+            "messages lost by the transport (shutdown races, missing handlers, "
+            "injected faults)"},
+        {"/net/count/drops-injected", cumulative, transport(&X::drops_injected),
+            "messages dropped by the fault plan"},
+        {"/net/count/duplicates-injected", cumulative,
+            transport(&X::duplicates_injected),
+            "duplicate messages forged by the fault plan"},
+        {"/net/count/retransmits", cumulative, parcels(&C::retransmits),
+            "frames retransmitted by the reliability layer"},
+        {"/net/count/duplicates-suppressed", cumulative,
+            parcels(&C::duplicates_suppressed),
+            "received frames discarded as duplicates by the reliability layer"},
+        {"/net/count/acks", cumulative, parcels(&C::acks_sent),
+            "standalone ack frames emitted"},
+        {"/net/count/circuit-breaker-trips", cumulative,
+            parcels(&C::circuit_breaker_trips),
+            "times a per-link circuit breaker opened (coalescing bypassed)"},
+        {"/net/time/average-ack-latency", ratio, {[](locality& l) {
+                return static_cast<double>(
+                           l.parcels().counters().ack_latency_ns.load()) /
+                    1000.0;
+            }},
+            "mean time from first transmission to acknowledgement, µs",
+            parcels(&C::acked_messages)},
+        // ---- batched receive pipeline ----------------------------------
+        {"/threads/receive-pipeline/count/drains", cumulative,
+            parcels(&C::receive_drains),
+            "progress_receive calls that drained at least one frame"},
+        {"/threads/receive-pipeline/count/frames", cumulative,
+            parcels(&C::frames_drained),
+            "inbox frames consumed by budgeted receive drains"},
+        {"/threads/receive-pipeline/count/chunks", cumulative,
+            parcels(&C::chunk_tasks),
+            "chunk tasks bulk-spawned by the receive pipeline"},
+        {"/threads/receive-pipeline/frames-per-drain", ratio,
+            parcels(&C::frames_drained),
+            "average inbox frames consumed per draining progress_receive call",
+            parcels(&C::receive_drains)},
+        {"/threads/receive-pipeline/chunk-occupancy", ratio,
+            parcels(&C::chunk_parcels),
+            "average parcels carried per chunk task", parcels(&C::chunk_tasks)},
+        {"/threads/receive-pipeline/time/offloaded-decode", cumulative,
+            parcels(&C::decode_offload_ns),
+            "argument-decode time moved off the background critical path onto "
+            "executing workers, ns"},
+        {"/net/count/duplicate-overhead-avoided", cumulative,
+            parcels(&C::duplicate_overhead_avoided),
+            "duplicate frames recognized from the frame prefix before the "
+            "per-message receive overhead was paid"},
+        // ---- socket parcelport (/net/wire) -----------------------------
+        {"/net/wire/count/bytes-sent", cumulative, wire(&W::bytes_sent),
+            "bytes written to sockets, frame headers included"},
+        {"/net/wire/count/bytes-received", cumulative, wire(&W::bytes_received),
+            "bytes read from sockets, frame headers included"},
+        {"/net/wire/count/frames-sent", cumulative, wire(&W::frames_sent),
+            "complete frames (data + control) written to sockets"},
+        {"/net/wire/count/frames-received", cumulative,
+            wire(&W::frames_received),
+            "complete frames received and CRC-verified"},
+        {"/net/wire/count/reconnects", cumulative, wire(&W::reconnects),
+            "established connections lost and scheduled for reconnect"},
+        {"/net/wire/count/connects", cumulative, wire(&W::connects),
+            "successful outbound connects (incl. reconnects)"},
+        {"/net/wire/count/accepts", cumulative, wire(&W::accepts),
+            "inbound connections accepted"},
+        {"/net/wire/count/partial-write-resumptions", cumulative,
+            wire(&W::partial_write_resumptions),
+            "frame writes resumed after a short write (socket buffer full)"},
+        {"/net/wire/count/partial-read-resumptions", cumulative,
+            wire(&W::partial_read_resumptions),
+            "frame reads resumed after a partial frame arrived"},
+        {"/net/wire/count/crc-drops", cumulative, wire(&W::crc_drops),
+            "frames discarded for a payload CRC mismatch (never executed; "
+            "recovered by retransmission)"},
+        {"/net/wire/count/desync-drops", cumulative, wire(&W::desync_drops),
+            "fatal stream decode errors (bad magic/version/header CRC) that "
+            "cut the connection"},
+        {"/net/wire/count/oversized-drops", cumulative,
+            wire(&W::oversized_drops),
+            "frames rejected for a length prefix above the frame cap"},
+        {"/net/wire/count/truncated-drops", cumulative,
+            wire(&W::truncated_drops),
+            "partial frames discarded at connection end"},
+        {"/net/wire/count/connect-failures", cumulative,
+            wire(&W::connect_failures),
+            "outbound connect attempts that failed (retried with backoff)"},
+        {"/net/wire/count/accept-failures", cumulative,
+            wire(&W::accept_failures),
+            "accept() failures on listening sockets"},
+        {"/net/wire/count/handshake-failures", cumulative,
+            wire(&W::handshake_failures),
+            "HELLO exchanges rejected (geometry or action-registry digest "
+            "mismatch)"},
+        {"/net/wire/count/backlog-drops", cumulative, wire(&W::backlog_drops),
+            "frames shed at the per-connection outbound backlog cap"},
+        // ---- flow control / overload protection (/net/flow) ------------
+        {"/net/flow/count/shed", cumulative, parcels(&C::parcels_shed),
+            "best-effort parcels shed by admission control under critical "
+            "pressure"},
+        {"/net/flow/count/deferrals", cumulative, parcels(&C::sends_deferred),
+            "send jobs deferred on an exhausted credit window"},
+        {"/net/flow/count/releases", cumulative, parcels(&C::sends_released),
+            "deferred send jobs re-queued after the window opened"},
+        {"/net/flow/count/credit-updates", cumulative,
+            parcels(&C::credit_updates),
+            "credit window grants applied from peer advertisements"},
+        {"/net/flow/count/link-down", cumulative,
+            parcels(&C::link_down_failures),
+            "parcels failed with link_down (breaker open, in-flight cap "
+            "exhausted)"},
+        {"/net/flow/count/pressure-transitions", cumulative,
+            parcels(&C::pressure_transitions),
+            "process-level pressure state changes (ok/soft/critical)"},
+        {"/net/flow/count/starvation-trips", cumulative,
+            parcels(&C::starvation_trips),
+            "circuit breakers opened by the credit-starvation slow-peer "
+            "detector"},
+        {"/net/flow/pressure", max, {[](locality& l) {
+                return static_cast<double>(l.parcels().current_pressure());
+            }},
+            "current pressure state toward the worst peer (gauge: 0=ok, "
+            "1=soft, 2=critical)"},
+        // ---- membership / failure detection (/net/health) --------------
+        {"/net/health/count/heartbeats", cumulative,
+            parcels(&C::heartbeats_sent),
+            "standalone liveness frames emitted on idle links (and dead-peer "
+            "rejoin probes)"},
+        {"/net/health/count/suspected", cumulative,
+            parcels(&C::peers_suspected),
+            "suspicion escalations (phi crossed suspect_phi)"},
+        {"/net/health/count/deaths", cumulative,
+            parcels(&C::peers_declared_dead),
+            "peers declared dead by the phi-accrual failure detector"},
+        {"/net/health/count/rejoins", cumulative, parcels(&C::peer_rejoins),
+            "peers readmitted under a fresh incarnation epoch"},
+        {"/net/health/count/stale-epoch-frames", cumulative,
+            parcels(&C::stale_epoch_frames),
+            "frames discarded because they belonged to a fenced incarnation "
+            "(wrong src or dst epoch)"},
+        {"/net/health/count/refutes", cumulative, parcels(&C::epoch_refutes),
+            "false-positive deaths healed by epoch refutation (this locality "
+            "adopted the higher epoch an accuser's dead-peer probe demanded)"},
+        {"/net/health/count/confirmed-parcels", cumulative,
+            parcels(&C::parcels_confirmed),
+            "parcels whose frame the peer acknowledged (sender-side confirmed "
+            "delivery)"},
+        {"/net/health/known-peers", gauge, health(&H::known_peers),
+            "peers with membership state at this locality (gauge)"},
+        {"/net/health/suspected-peers", gauge, health(&H::suspected_peers),
+            "peers currently under suspicion (gauge)"},
+        {"/net/health/dead-peers", gauge, health(&H::dead_peers),
+            "peers currently declared dead (gauge; rejoin clears)"},
+        // ---- sharded peer store / idle eviction (/net/peers) -----------
+        {"/net/peers/active", gauge, store(&P::active),
+            "hydrated (resident) peer entries in the sharded store (gauge)"},
+        {"/net/peers/evicted", gauge, store(&P::evicted),
+            "idle peers demoted to compact tombstones (gauge)"},
+        {"/net/peers/shard-max-occupancy", max, store(&P::shard_max_occupancy),
+            "entries in the fullest shard (max across localities; hash-skew "
+            "diagnostic)"},
+        {"/net/peers/count/evictions", cumulative, store(&P::evictions),
+            "idle peers demoted to tombstones by the clock-hand sweeper"},
+        {"/net/peers/count/rehydrations", cumulative, store(&P::rehydrations),
+            "tombstoned peers restored to full state on renewed contact"},
+        // ---- delivery-failure taxonomy: one row per delivery_error -----
+        {"/net/count/delivery-errors/shed-overload", cumulative,
+            parcels(&C::parcels_shed),
+            "parcels refused by admission control under critical pressure"},
+        {"/net/count/delivery-errors/link-down", cumulative,
+            parcels(&C::link_down_failures),
+            "parcels failed because the link was down (breaker open, byte cap "
+            "exhausted)"},
+        {"/net/count/delivery-errors/peer-failed", cumulative,
+            parcels(&C::peer_failed_failures),
+            "parcels failed because the destination locality died (delivery "
+            "not confirmed)"},
+        // ---- buffer pool (process-global: every locality shares it) ----
+        {"/coal/pool/count/hits", cumulative, pool(&B::hits),
+            "slab acquires served from a pool free list"},
+        {"/coal/pool/count/misses", cumulative, pool(&B::misses),
+            "slab acquires that had to allocate"},
+        {"/coal/pool/count/heap-fallbacks", cumulative,
+            pool(&B::heap_fallbacks),
+            "slab acquires above the top size class (plain heap, still "
+            "refcounted)"},
+        {"/coal/pool/count/flattens", cumulative, pool(&B::flattens),
+            "wire-boundary gather copies (scatter-gather frames flattened for "
+            "a contiguous transport)"},
+        {"/coal/pool/count/outstanding", gauge, pool(&B::outstanding),
+            "pooled slabs currently alive (gauge; free-listed slabs excluded)"},
+        {"/coal/pool/data/copied", cumulative, {{}, [] {
+                auto const s = serialization::buffer_pool::global().stats();
+                return static_cast<double>(s.bytes_copied + s.bytes_flattened);
+            }},
+            "payload bytes moved by memcpy anywhere in the pipeline (inlined "
+            "small payloads, archive growth, gathers)"},
+        {"/coal/pool/data/referenced", cumulative, pool(&B::bytes_referenced),
+            "payload bytes moved by bumping a slab refcount instead of "
+            "copying"},
+        {"/coal/pool/resident-bytes", gauge, pool(&B::resident_bytes),
+            "payload bytes held by live slabs (gauge; watermark input)"},
+        {"/coal/pool/resident-bytes-peak", gauge, pool(&B::resident_bytes_peak),
+            "high-water mark of live slab payload bytes"},
+        {"/coal/pool/fallback-bytes", gauge, pool(&B::fallback_bytes),
+            "live heap-fallback payload bytes (gauge; capped allocation path)"},
+        {"/coal/pool/fallback-bytes-peak", gauge, pool(&B::fallback_bytes_peak),
+            "high-water mark of live heap-fallback payload bytes"},
+        {"/coal/pool/count/fallback-cap-hits", cumulative,
+            pool(&B::fallback_cap_hits),
+            "capped acquires refused because live fallback bytes were at the "
+            "configured cap"},
+        // ---- flush-timer service ---------------------------------------
+        {"/timers/count/scheduled", cumulative, timer(&T::scheduled),
+            "flush timers scheduled"},
+        {"/timers/count/fired", cumulative, timer(&T::fired),
+            "flush timers fired"},
+        {"/timers/count/cancelled", cumulative, timer(&T::cancelled),
+            "flush timers cancelled before firing"},
+        {"/timers/time/average-lateness", gauge, timer(&T::mean_lateness_us),
+            "mean timer firing lateness, µs"},
+        {"/timers/time/max-lateness", gauge, timer(&T::max_lateness_us),
+            "worst timer firing lateness since start, µs"},
+        {"/timers/count/pending", gauge, {{}, [this] {
+                return static_cast<double>(timers_->pending());
+            }},
+            "flush timers currently armed (gauge)"},
+        // ---- coalescing, per @action (the paper's §II-B additions) ---
+        {"/coalescing/count/parcels", cumulative, action(&cc::parcels),
+            "parcels routed through the coalescing handler of an action"},
+        {"/coalescing/count/messages", cumulative, action(&cc::messages),
+            "messages generated by the coalescing handler of an action"},
+        {"/coalescing/count/average-parcels-per-message", ratio,
+            action(&cc::parcels_in_messages),
+            "average number of parcels per coalesced message of an action",
+            action(&cc::messages)},
+        {"/coalescing/time/average-parcel-arrival", ratio,
+            action([](cc const& b) {
+                return b.average_arrival_us() *
+                    static_cast<double>(b.gap_count());
+            }),
+            "average time between parcel arrivals for an action, µs",
+            action(&cc::gap_count)},
+        {"/coalescing/time/parcel-arrival-histogram", histogram, {},
+            "histogram of gaps between parcel arrivals for an action (min, "
+            "max, bucket-width, counts...), µs"},
+    };
+
+    for (auto const& r : rows)
+    {
+        counters_.register_counter_type(r.path, r.help,
+            [r, select](counter_path const& path) -> counter_ptr {
+                auto const selected = select(path);
+                if (!selected)
+                    return nullptr;
+                if (!r.value.action && r.kind != histogram)
+                    return make_counter(r, *selected);
+                // @action rows read the counter blocks of the selected
+                // localities that coalesce that action.
+                std::vector<std::shared_ptr<cc>> blocks;
+                for (auto* l : *selected)
+                {
+                    if (auto b = l->coalescing().counters(path.parameters))
+                        blocks.push_back(std::move(b));
+                }
                 if (blocks.empty())
                     return nullptr;
-                return std::make_shared<baseline_counter>(
-                    [blocks, reduce] { return reduce(blocks); });
-            };
-        };
-
-    counters_.register_counter_type("/coalescing/count/parcels",
-        "parcels routed through the coalescing handler of an action",
-        coalescing_scalar([](auto const& blocks) {
-            double total = 0.0;
-            for (auto const& b : blocks)
-                total += static_cast<double>(b->parcels());
-            return total;
-        }));
-
-    counters_.register_counter_type("/coalescing/count/messages",
-        "messages generated by the coalescing handler of an action",
-        coalescing_scalar([](auto const& blocks) {
-            double total = 0.0;
-            for (auto const& b : blocks)
-                total += static_cast<double>(b->messages());
-            return total;
-        }));
-
-    counters_.register_counter_type(
-        "/coalescing/count/average-parcels-per-message",
-        "average number of parcels per coalesced message of an action",
-        [coalescing_blocks](counter_path const& path) -> counter_ptr {
-            auto blocks = coalescing_blocks(path);
-            if (blocks.empty())
-                return nullptr;
-            return std::make_shared<ratio_counter>(
-                [blocks] {
-                    double total = 0.0;
-                    for (auto const& b : blocks)
-                        total += static_cast<double>(b->parcels_in_messages());
-                    return total;
-                },
-                [blocks] {
-                    double total = 0.0;
-                    for (auto const& b : blocks)
-                        total += static_cast<double>(b->messages());
-                    return total;
-                });
-        });
-
-    counters_.register_counter_type("/coalescing/time/average-parcel-arrival",
-        "average time between parcel arrivals for an action, µs",
-        [coalescing_blocks](counter_path const& path) -> counter_ptr {
-            auto blocks = coalescing_blocks(path);
-            if (blocks.empty())
-                return nullptr;
-            return std::make_shared<ratio_counter>(
-                [blocks] {
-                    double weighted = 0.0;
-                    for (auto const& b : blocks)
-                        weighted += b->average_arrival_us() *
-                            static_cast<double>(b->gap_count());
-                    return weighted;
-                },
-                [blocks] {
-                    double gaps = 0.0;
-                    for (auto const& b : blocks)
-                        gaps += static_cast<double>(b->gap_count());
-                    return gaps;
-                });
-        });
-
-    counters_.register_counter_type("/coalescing/time/parcel-arrival-histogram",
-        "histogram of gaps between parcel arrivals for an action "
-        "(min, max, bucket-width, counts...), µs",
-        [coalescing_blocks](counter_path const& path) -> counter_ptr {
-            auto blocks = coalescing_blocks(path);
-            if (blocks.empty())
-                return nullptr;
-            return std::make_shared<array_function_counter>(
-                [blocks]() -> std::vector<std::int64_t> {
-                    // Element-wise sum; all blocks share the default
-                    // bucketing, including the 3-entry header.
-                    std::vector<std::int64_t> total =
-                        blocks.front()->arrival_histogram();
-                    for (std::size_t i = 1; i < blocks.size(); ++i)
-                    {
-                        auto const h = blocks[i]->arrival_histogram();
-                        for (std::size_t j = 3;
-                             j < total.size() && j < h.size(); ++j)
-                            total[j] += h[j];
-                    }
-                    return total;
-                },
-                [blocks] {
-                    for (auto const& b : blocks)
-                        b->reset_arrival_histogram();
-                });
-        });
-
-    // ---- buffer pool (zero-copy pipeline) ------------------------------
-
-    // The slab pool is process-global (archives and wire messages on every
-    // locality share it), so these counters ignore instance selection.
-    auto pool_scalar =
-        [](double (*extract)(serialization::buffer_pool_stats const&)) {
-            return [extract](counter_path const&) -> counter_ptr {
-                return std::make_shared<baseline_counter>([extract] {
-                    return extract(
-                        serialization::buffer_pool::global().stats());
-                });
-            };
-        };
-
-    counters_.register_counter_type("/coal/pool/count/hits",
-        "slab acquires served from a pool free list",
-        pool_scalar([](serialization::buffer_pool_stats const& s) {
-            return static_cast<double>(s.hits);
-        }));
-    counters_.register_counter_type("/coal/pool/count/misses",
-        "slab acquires that had to allocate",
-        pool_scalar([](serialization::buffer_pool_stats const& s) {
-            return static_cast<double>(s.misses);
-        }));
-    counters_.register_counter_type("/coal/pool/count/heap-fallbacks",
-        "slab acquires above the top size class (plain heap, still "
-        "refcounted)",
-        pool_scalar([](serialization::buffer_pool_stats const& s) {
-            return static_cast<double>(s.heap_fallbacks);
-        }));
-    counters_.register_counter_type("/coal/pool/count/flattens",
-        "wire-boundary gather copies (scatter-gather frames flattened "
-        "for a contiguous transport)",
-        pool_scalar([](serialization::buffer_pool_stats const& s) {
-            return static_cast<double>(s.flattens);
-        }));
-    counters_.register_counter_type("/coal/pool/count/outstanding",
-        "pooled slabs currently alive (gauge; free-listed slabs excluded)",
-        [](counter_path const&) -> counter_ptr {
-            return std::make_shared<perf::function_counter>([] {
-                return static_cast<double>(
-                    serialization::buffer_pool::global().stats().outstanding);
+                return r.kind == histogram ? histogram_counter(blocks) :
+                                             make_counter(r, blocks);
             });
-        });
-    counters_.register_counter_type("/coal/pool/data/copied",
-        "payload bytes moved by memcpy anywhere in the pipeline "
-        "(inlined small payloads, archive growth, gathers)",
-        pool_scalar([](serialization::buffer_pool_stats const& s) {
-            return static_cast<double>(s.bytes_copied + s.bytes_flattened);
-        }));
-    counters_.register_counter_type("/coal/pool/data/referenced",
-        "payload bytes moved by bumping a slab refcount instead of copying",
-        pool_scalar([](serialization::buffer_pool_stats const& s) {
-            return static_cast<double>(s.bytes_referenced);
-        }));
-    counters_.register_counter_type("/coal/pool/resident-bytes",
-        "payload bytes held by live slabs (gauge; watermark input)",
-        [](counter_path const&) -> counter_ptr {
-            return std::make_shared<perf::function_counter>([] {
-                return static_cast<double>(serialization::buffer_pool::global()
-                        .stats()
-                        .resident_bytes);
-            });
-        });
-    counters_.register_counter_type("/coal/pool/resident-bytes-peak",
-        "high-water mark of live slab payload bytes",
-        [](counter_path const&) -> counter_ptr {
-            return std::make_shared<perf::function_counter>([] {
-                return static_cast<double>(serialization::buffer_pool::global()
-                        .stats()
-                        .resident_bytes_peak);
-            });
-        });
-    counters_.register_counter_type("/coal/pool/fallback-bytes",
-        "live heap-fallback payload bytes (gauge; capped allocation path)",
-        [](counter_path const&) -> counter_ptr {
-            return std::make_shared<perf::function_counter>([] {
-                return static_cast<double>(serialization::buffer_pool::global()
-                        .stats()
-                        .fallback_bytes);
-            });
-        });
-    counters_.register_counter_type("/coal/pool/fallback-bytes-peak",
-        "high-water mark of live heap-fallback payload bytes",
-        [](counter_path const&) -> counter_ptr {
-            return std::make_shared<perf::function_counter>([] {
-                return static_cast<double>(serialization::buffer_pool::global()
-                        .stats()
-                        .fallback_bytes_peak);
-            });
-        });
-    counters_.register_counter_type("/coal/pool/count/fallback-cap-hits",
-        "capped acquires refused because live fallback bytes were at the "
-        "configured cap",
-        pool_scalar([](serialization::buffer_pool_stats const& s) {
-            return static_cast<double>(s.fallback_cap_hits);
-        }));
-
-    // ---- flush-timer service -------------------------------------------
-
-    counters_.register_counter_type("/timers/count/scheduled",
-        "flush timers scheduled", [this](counter_path const&) -> counter_ptr {
-            return std::make_shared<baseline_counter>([this] {
-                return static_cast<double>(timers_->stats().scheduled);
-            });
-        });
-    counters_.register_counter_type("/timers/count/fired",
-        "flush timers fired", [this](counter_path const&) -> counter_ptr {
-            return std::make_shared<baseline_counter>([this] {
-                return static_cast<double>(timers_->stats().fired);
-            });
-        });
-    counters_.register_counter_type("/timers/count/cancelled",
-        "flush timers cancelled before firing",
-        [this](counter_path const&) -> counter_ptr {
-            return std::make_shared<baseline_counter>([this] {
-                return static_cast<double>(timers_->stats().cancelled);
-            });
-        });
-    counters_.register_counter_type("/timers/time/average-lateness",
-        "mean timer firing lateness, µs",
-        [this](counter_path const&) -> counter_ptr {
-            return std::make_shared<perf::function_counter>(
-                [this] { return timers_->stats().mean_lateness_us; });
-        });
-    counters_.register_counter_type("/timers/time/max-lateness",
-        "worst timer firing lateness since start, µs",
-        [this](counter_path const&) -> counter_ptr {
-            return std::make_shared<perf::function_counter>(
-                [this] { return timers_->stats().max_lateness_us; });
-        });
-    counters_.register_counter_type("/timers/count/pending",
-        "flush timers currently armed (gauge)",
-        [this](counter_path const&) -> counter_ptr {
-            return std::make_shared<perf::function_counter>([this] {
-                return static_cast<double>(timers_->pending());
-            });
-        });
+    }
 }
 
 }    // namespace coal

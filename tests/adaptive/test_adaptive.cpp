@@ -19,7 +19,7 @@ coal::runtime_config loopback_runtime()
 {
     coal::runtime_config cfg;
     cfg.num_localities = 2;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     return cfg;
 }

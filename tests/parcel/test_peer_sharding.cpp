@@ -473,8 +473,6 @@ TEST(PeerSharding, ExactlyOnceAcrossEvictRehydrateCycles)
     EXPECT_EQ(h.failed0.load(), 0u);
     EXPECT_GE(h.ph0.peer_stats().evictions, 3u);
     EXPECT_GE(h.ph0.peer_stats().rehydrations, 2u);
-    EXPECT_GE(h.ph0.counters().peers_evicted.load(), 3u);
-    EXPECT_GE(h.ph0.counters().peers_rehydrated.load(), 2u);
     // Sender-side conservation: everything offered was confirmed.
     EXPECT_EQ(h.ph0.counters().parcels_confirmed.load(), 30u);
 }

@@ -77,7 +77,7 @@ coal::runtime_config chaos_config(std::uint64_t seed)
     coal::runtime_config cfg;
     cfg.num_localities = soak_n;
     cfg.workers_per_locality = 2;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     cfg.idle_sleep_us = 50;
 
@@ -371,7 +371,7 @@ TEST(ChaosSoak, ShortBlackoutHealsAndRestoresBatching)
     coal::runtime_config cfg;
     cfg.num_localities = 2;
     cfg.workers_per_locality = 2;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     cfg.idle_sleep_us = 50;
     cfg.reliability.enabled = true;

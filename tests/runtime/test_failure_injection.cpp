@@ -34,7 +34,7 @@ runtime_config loopback()
 {
     runtime_config cfg;
     cfg.num_localities = 2;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     return cfg;
 }

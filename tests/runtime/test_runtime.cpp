@@ -3,6 +3,7 @@
 
 #include <coal/runtime/runtime.hpp>
 
+#include <coal/net/loopback.hpp>
 #include <coal/parcel/action.hpp>
 #include <coal/threading/future.hpp>
 
@@ -52,7 +53,7 @@ runtime_config loopback(std::uint32_t n, unsigned workers = 1)
     runtime_config cfg;
     cfg.num_localities = n;
     cfg.workers_per_locality = workers;
-    cfg.use_loopback = true;
+    cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
     return cfg;
 }
@@ -227,12 +228,44 @@ TEST(Runtime, AggregateSnapshotSumsLocalities)
             here.find_remote_localities().front(), 2, 3);
         f.get();
     });
+    // Stopped schedulers no longer move (idle polls included), so the
+    // per-locality reads below see exactly what the aggregate summed.
+    rt.stop();
     auto const total = rt.aggregate_snapshot();
     auto const l0 = rt.get_locality(0u).scheduler().snapshot();
     auto const l1 = rt.get_locality(1u).scheduler().snapshot();
     EXPECT_EQ(total.tasks_executed, l0.tasks_executed + l1.tasks_executed);
     EXPECT_EQ(total.func_time_ns, l0.func_time_ns + l1.func_time_ns);
+    EXPECT_EQ(total.exec_time_ns, l0.exec_time_ns + l1.exec_time_ns);
+    EXPECT_EQ(total.background_time_ns,
+        l0.background_time_ns + l1.background_time_ns);
+    EXPECT_EQ(
+        total.background_calls, l0.background_calls + l1.background_calls);
+    EXPECT_EQ(total.idle_poll_time_ns,
+        l0.idle_poll_time_ns + l1.idle_poll_time_ns);
+    EXPECT_EQ(total.tasks_stolen, l0.tasks_stolen + l1.tasks_stolen);
+    EXPECT_EQ(total.idle_loops, l0.idle_loops + l1.idle_loops);
+    EXPECT_EQ(total.bulk_posts, l0.bulk_posts + l1.bulk_posts);
+    EXPECT_EQ(total.bulk_posted_tasks,
+        l0.bulk_posted_tasks + l1.bulk_posted_tasks);
+    // The remote round trips went through the bulk-spawning receive
+    // pipeline, so the fields the aggregate once dropped are non-zero.
+    EXPECT_GT(total.bulk_posts, 0u);
+}
+
+TEST(Runtime, LoopbackIsSelectedByTransportName)
+{
+    runtime rt(loopback(2));
+    EXPECT_NE(dynamic_cast<coal::net::loopback_transport*>(&rt.network()),
+        nullptr);
     rt.stop();
+}
+
+TEST(RuntimeDeathTest, UnknownTransportAsserts)
+{
+    runtime_config cfg;
+    cfg.transport = "carrier-pigeon";
+    EXPECT_DEATH({ runtime rt(cfg); }, "transport must be");
 }
 
 TEST(Runtime, SimNetworkEndToEnd)

@@ -154,7 +154,7 @@ TEST(TracerIntegration, ParcelFlowEventsAppear)
     {
         coal::runtime_config cfg;
         cfg.num_localities = 2;
-        cfg.use_loopback = true;
+        cfg.transport = "loopback";
         cfg.apply_coalescing_defaults = false;
         coal::runtime rt(cfg);
         rt.enable_coalescing("trace_echo_action", {8, 2000});
