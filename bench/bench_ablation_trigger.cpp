@@ -43,7 +43,7 @@ int main(int argc, char** argv)
         auto const size_m = coal::bench::measure_parquet(size_params, 4, 2);
 
         std::printf("%-8zu %-22.2f %-22.2f\n", k,
-            count_m.mean_iteration_s * 1e3, size_m.mean_iteration_s * 1e3);
+            count_m.median_iteration_s * 1e3, size_m.median_iteration_s * 1e3);
     }
 
     std::printf("\nexpected: comparable performance — the triggering rule "

@@ -3,7 +3,8 @@
 /// \file bench_common.hpp
 /// Shared plumbing for the figure-reproduction harnesses: configuration,
 /// repeated-run aggregation (the paper averages three runs per
-/// configuration and discards warm-up effects), and table printing.
+/// configuration and discards warm-up effects; we report the median,
+/// which a single stalled phase cannot drag), and table printing.
 
 #include <coal/apps/parquet_app.hpp>
 #include <coal/apps/toy_app.hpp>
@@ -13,6 +14,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -81,20 +83,20 @@ private:
 
 /// One toy-app configuration measured over `repeats` fresh runtimes;
 /// the first phase of each run is treated as warm-up and discarded
-/// (allocator/page-cache effects dominate it on a cold process).
+/// (allocator/page-cache effects dominate it on a cold process).  Every
+/// figure is the median over the kept phases: one phase that stalls on
+/// a host hiccup must not move the row.
 struct toy_measurement
 {
-    double mean_phase_s = 0.0;
-    double mean_overhead = 0.0;
-    double mean_messages = 0.0;
-    running_stats phase_times;
+    double median_phase_s = 0.0;
+    double median_overhead = 0.0;
+    double median_messages = 0.0;
 };
 
 inline toy_measurement measure_toy(apps::toy_params params,
     unsigned repeats, unsigned workers = 1)
 {
-    toy_measurement out;
-    running_stats overheads, messages;
+    std::vector<double> phase_times, overheads, messages;
 
     params.phases += 1;    // warm-up phase, dropped below
 
@@ -110,26 +112,26 @@ inline toy_measurement measure_toy(apps::toy_params params,
         for (std::size_t i = 1; i < result.phases.size(); ++i)
         {
             auto const& phase = result.phases[i];
-            out.phase_times.add(phase.metrics.duration_s);
-            overheads.add(phase.metrics.network_overhead);
-            messages.add(static_cast<double>(phase.metrics.messages_sent));
+            phase_times.push_back(phase.metrics.duration_s);
+            overheads.push_back(phase.metrics.network_overhead);
+            messages.push_back(static_cast<double>(phase.metrics.messages_sent));
         }
         rt.stop();
     }
 
-    out.mean_phase_s = out.phase_times.mean();
-    out.mean_overhead = overheads.mean();
-    out.mean_messages = messages.mean();
-    return out;
+    return {median_of(std::move(phase_times)), median_of(std::move(overheads)),
+        median_of(std::move(messages))};
 }
 
 /// One parquet configuration measured over `repeats` fresh runtimes;
-/// the first iteration of each run is warm-up and discarded.
+/// the first iteration of each run is warm-up and discarded, and the
+/// figures are medians over the kept iterations.  A checksum failure
+/// means a parcel was lost or applied twice: the numbers would time a
+/// wrong computation, so the bench exits non-zero instead.
 struct parquet_measurement
 {
-    double mean_iteration_s = 0.0;
-    double mean_overhead = 0.0;
-    running_stats iteration_times;
+    double median_iteration_s = 0.0;
+    double median_overhead = 0.0;
     std::vector<double> per_iteration_cumulative_s;    // last run's curve
 };
 
@@ -138,7 +140,7 @@ inline parquet_measurement measure_parquet(apps::parquet_params params,
     std::uint32_t nodes = 1, bool hierarchical = false)
 {
     parquet_measurement out;
-    running_stats overheads;
+    std::vector<double> iteration_times, overheads;
 
     params.iterations += 1;    // warm-up iteration, dropped below
 
@@ -154,25 +156,28 @@ inline parquet_measurement measure_parquet(apps::parquet_params params,
 
         auto const result = apps::run_parquet_app(rt, params);
         if (!result.checksum_ok)
-            std::fprintf(stderr,
-                "WARNING: parquet checksum failed (error %.2e)\n",
+        {
+            std::fprintf(stderr, "ERROR: parquet checksum failed (error %.2e)\n",
                 result.checksum_error);
+            rt.stop();
+            std::exit(EXIT_FAILURE);
+        }
 
         out.per_iteration_cumulative_s.clear();
         double cumulative = 0.0;
         for (std::size_t i = 1; i < result.iterations.size(); ++i)
         {
             auto const& iter = result.iterations[i];
-            out.iteration_times.add(iter.metrics.duration_s);
-            overheads.add(iter.metrics.network_overhead);
+            iteration_times.push_back(iter.metrics.duration_s);
+            overheads.push_back(iter.metrics.network_overhead);
             cumulative += iter.metrics.duration_s;
             out.per_iteration_cumulative_s.push_back(cumulative);
         }
         rt.stop();
     }
 
-    out.mean_iteration_s = out.iteration_times.mean();
-    out.mean_overhead = overheads.mean();
+    out.median_iteration_s = median_of(std::move(iteration_times));
+    out.median_overhead = median_of(std::move(overheads));
     return out;
 }
 

@@ -36,14 +36,14 @@ int main(int argc, char** argv)
             params.coalescing = {n, interval};
 
             auto const m = coal::bench::measure_toy(params, repeats);
-            overheads.push_back(m.mean_overhead);
-            times.push_back(m.mean_phase_s * 1e3);
+            overheads.push_back(m.median_overhead);
+            times.push_back(m.median_phase_s * 1e3);
             std::printf("%-10zu %-14lld %-14.4f %-16.2f\n", n,
-                static_cast<long long>(interval), m.mean_overhead,
-                m.mean_phase_s * 1e3);
+                static_cast<long long>(interval), m.median_overhead,
+                m.median_phase_s * 1e3);
             csv.row("%zu,%lld,%.6f,%.4f", n,
-                static_cast<long long>(interval), m.mean_overhead,
-                m.mean_phase_s * 1e3);
+                static_cast<long long>(interval), m.median_overhead,
+                m.median_phase_s * 1e3);
         }
     }
 

@@ -34,12 +34,12 @@ int main(int argc, char** argv)
 
         auto const m = coal::bench::measure_toy(params, repeats);
         std::printf("%-10zu %-16.2f %-12.4f %-14.0f\n", n,
-            m.mean_phase_s * 1e3, m.mean_overhead, m.mean_messages);
-        csv.row("%zu,%.4f,%.6f,%.0f", n, m.mean_phase_s * 1e3,
-            m.mean_overhead, m.mean_messages);
+            m.median_phase_s * 1e3, m.median_overhead, m.median_messages);
+        csv.row("%zu,%.4f,%.6f,%.0f", n, m.median_phase_s * 1e3,
+            m.median_overhead, m.median_messages);
         if (n == 1)
-            first = m.mean_phase_s;
-        last = m.mean_phase_s;
+            first = m.median_phase_s;
+        last = m.median_phase_s;
     }
 
     std::printf("\nspeedup nparcels=1 -> 128: %.2fx  (paper shape: fastest "

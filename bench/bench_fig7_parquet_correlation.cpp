@@ -42,19 +42,19 @@ int main(int argc, char** argv)
             params.coalescing = {n, interval};
 
             auto const m = coal::bench::measure_parquet(params, 4, repeats);
-            overheads.push_back(m.mean_overhead);
-            times.push_back(m.mean_iteration_s * 1e3);
+            overheads.push_back(m.median_overhead);
+            times.push_back(m.median_iteration_s * 1e3);
             std::printf("%-10zu %-14lld %-12.4f %-18.2f\n", n,
-                static_cast<long long>(interval), m.mean_overhead,
-                m.mean_iteration_s * 1e3);
+                static_cast<long long>(interval), m.median_overhead,
+                m.median_iteration_s * 1e3);
             csv.row("%zu,%lld,%.6f,%.4f", n,
-                static_cast<long long>(interval), m.mean_overhead,
-                m.mean_iteration_s * 1e3);
+                static_cast<long long>(interval), m.median_overhead,
+                m.median_iteration_s * 1e3);
 
-            if (m.mean_iteration_s < best_time)
+            if (m.median_iteration_s < best_time)
             {
-                best_time = m.mean_iteration_s;
-                best_overhead = m.mean_overhead;
+                best_time = m.median_iteration_s;
+                best_overhead = m.median_overhead;
             }
         }
     }

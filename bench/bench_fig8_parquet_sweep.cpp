@@ -50,19 +50,19 @@ int main(int argc, char** argv)
             params.coalescing = {n, interval};
 
             auto const m = coal::bench::measure_parquet(params, 4, repeats);
-            std::printf(" %10.2f", m.mean_iteration_s * 1e3);
+            std::printf(" %10.2f", m.median_iteration_s * 1e3);
             csv.row("%zu,%lld,%.4f", n, static_cast<long long>(interval),
-                m.mean_iteration_s * 1e3);
+                m.median_iteration_s * 1e3);
 
-            if (m.mean_iteration_s < best)
+            if (m.median_iteration_s < best)
             {
-                best = m.mean_iteration_s;
+                best = m.median_iteration_s;
                 best_n = n;
                 best_i = interval;
             }
             if (n == 1 || interval == 1)
             {
-                ridge_n1 += m.mean_iteration_s;
+                ridge_n1 += m.median_iteration_s;
                 ++ridge_cells;
             }
         }

@@ -51,6 +51,7 @@ struct lossy_measurement
     double mean_phase_s = 0.0;
     double mean_overhead = 0.0;
     std::uint64_t retransmits = 0;
+    std::uint64_t fast_retransmits = 0;    ///< subset of retransmits
     std::uint64_t drops_injected = 0;
     std::uint64_t messages_sent = 0;
     std::uint64_t breaker_trips = 0;
@@ -76,11 +77,12 @@ lossy_measurement measure(coal::apps::toy_params params, double drop,
         cfg.faults.drop_probability = drop;
         // Bulk traffic: let the ack window breathe instead of tripping
         // the breaker on every burst (degradation is bench_lossy's
-        // subject only insofar as it shows up in the phase times).  The
-        // protocol has no flow control, so an aggressive RTO against a
-        // burst of thousands of outstanding frames would retransmit
-        // spuriously; a conservative floor keeps "retransmits" meaning
-        // "actual loss recovery".
+        // subject only insofar as it shows up in the phase times).  Sack-
+        // driven fast retransmit recovers most holes within a round trip;
+        // the RTO only backs it up for tail and repeated losses.  An
+        // aggressive RTO against a burst of thousands of outstanding
+        // frames would retransmit spuriously, so a conservative floor
+        // keeps "retransmits" meaning "actual loss recovery".
         cfg.reliability.min_rto_us = 100000;
         cfg.reliability.breaker_trip_backlog = 1u << 20;
         cfg.reliability.breaker_trip_attempts = 1000;
@@ -98,6 +100,7 @@ lossy_measurement measure(coal::apps::toy_params params, double drop,
         {
             auto const& c = rt.get_locality(l).parcels().counters();
             out.retransmits += c.retransmits.load();
+            out.fast_retransmits += c.fast_retransmits.load();
             out.breaker_trips += c.circuit_breaker_trips.load();
         }
         auto const net = rt.network().stats();
@@ -300,14 +303,15 @@ int main(int argc, char** argv)
                         "\"transport\":\"%s\",\"drop\":%.4f,"
                         "\"coalescing\":%d,\"phase_ms\":%.3f,"
                         "\"overhead\":%.4f,\"retransmits\":%" PRIu64
+                        ",\"fast_retransmits\":%" PRIu64
                         ",\"drops_injected\":%" PRIu64 ",\"messages\":%" PRIu64
                         ",\"breaker_trips\":%" PRIu64
                         ",\"pool_hit_rate\":%.4f"
                         ",\"copied_per_message\":%.1f}\n",
                 transport.c_str(), drop, coalescing ? 1 : 0,
                 m.mean_phase_s * 1e3,
-                m.mean_overhead, m.retransmits, m.drops_injected,
-                m.messages_sent, m.breaker_trips, m.pool_hit_rate,
+                m.mean_overhead, m.retransmits, m.fast_retransmits,
+                m.drops_injected, m.messages_sent, m.breaker_trips, m.pool_hit_rate,
                 m.copied_per_message);
             csv.row("%.4f,%d,%.3f,%" PRIu64 ",%" PRIu64 ",%" PRIu64, drop,
                 coalescing ? 1 : 0, m.mean_phase_s * 1e3, m.retransmits,

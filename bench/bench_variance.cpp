@@ -29,13 +29,13 @@ int main(int argc, char** argv)
         params.coalescing = {4, 5000};
 
         auto const m = coal::bench::measure_parquet(params, 4, 1);
-        totals.add(m.mean_iteration_s * 1e3);
-        std::printf("%-6u %-16.2f\n", r, m.mean_iteration_s * 1e3);
+        totals.add(m.median_iteration_s * 1e3);
+        std::printf("%-6u %-16.2f\n", r, m.median_iteration_s * 1e3);
     }
 
     std::printf("\nmean %.2f ms, stddev %.2f ms, relative stddev %.1f%%   "
                 "(paper: <5%% on dedicated nodes; expect more on a shared "
-                "2-core box)\n",
+                "host whose other tenants steal cycles)\n",
         totals.mean(), totals.stddev(), totals.relative_stddev() * 100.0);
     return 0;
 }

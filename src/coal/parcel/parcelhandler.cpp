@@ -8,6 +8,7 @@
 #include <coal/trace/tracer.hpp>
 
 #include <algorithm>
+#include <bit>
 #include <thread>
 #include <utility>
 
@@ -988,6 +989,35 @@ void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
                 release(it);
         }
 
+        // Loss inference from the same bitmap (RFC 6675 fast retransmit,
+        // RFC 5827 early retransmit): a hole is lost once dupthresh frames
+        // above it are selectively acked, or once every frame sent after
+        // it is (a short tail never reaches dupthresh).  The hole is made
+        // due now, so service_peer's retransmit loop resends it one round
+        // trip after the loss instead of one RTO.  Only first
+        // transmissions qualify: a retransmit still in flight is not
+        // contradicted by sacks of frames sent before it.
+        if (hdr.sack != 0)
+        {
+            for (auto& [seq, u] : peer.unacked)
+            {
+                // Bits above seq's own: bit i stands for hdr.ack + 1 + i.
+                std::uint64_t const shift = seq - hdr.ack;
+                int const sacked_above =
+                    shift < 64 ? std::popcount(hdr.sack >> shift) : 0;
+                if (sacked_above == 0)
+                    break;    // nor above any later hole
+                std::uint64_t const sent_after = peer.next_seq - 1 - seq;
+                if (u.attempts != 1 || u.fast_retransmitted ||
+                    static_cast<std::uint64_t>(sacked_above) <
+                        std::min(fast_retransmit_dupthresh, sent_after))
+                    continue;
+                u.fast_retransmitted = true;
+                u.deadline_ns = now;
+                rearm = now;
+            }
+        }
+
         // Close only once no retained frame still satisfies the trip
         // predicate: a blackout-era frame keeps its attempt count after
         // the link heals, and closing on backlog size alone would let
@@ -1229,14 +1259,24 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
                 closer(u.deadline_ns);
                 continue;
             }
+            if (u.fast_retransmitted && u.attempts == 1)
+            {
+                // Made due by sack evidence (handle_acks), not by the
+                // timer: no backoff, the RTO stays what it was.
+                counters_.fast_retransmits.fetch_add(
+                    1, std::memory_order_relaxed);
+            }
+            else
+            {
+                double backed =
+                    static_cast<double>(u.rto_ns) * reliability_.rto_backoff;
+                backed = std::min(backed,
+                    static_cast<double>(reliability_.max_rto_us) * 1000.0);
+                backed *= 1.0 +
+                    reliability_.rto_jitter * jitter_unit(seq, u.attempts + 1);
+                u.rto_ns = static_cast<std::int64_t>(backed);
+            }
             u.attempts += 1;
-            double backed =
-                static_cast<double>(u.rto_ns) * reliability_.rto_backoff;
-            backed = std::min(backed,
-                static_cast<double>(reliability_.max_rto_us) * 1000.0);
-            backed *=
-                1.0 + reliability_.rto_jitter * jitter_unit(seq, u.attempts);
-            u.rto_ns = static_cast<std::int64_t>(backed);
             u.deadline_ns = now + u.rto_ns;
             closer(u.deadline_ns);
             // Refresh piggybacked acks and the credit grant — the stored

@@ -82,6 +82,9 @@ struct parcelhandler_counters
     std::atomic<std::uint64_t> parcels_executed{0};
     // Reliability layer (all zero while it is disabled):
     std::atomic<std::uint64_t> retransmits{0};
+    /// Subset of retransmits sent early because later frames were
+    /// selectively acked (fast / early retransmit), not on a timeout.
+    std::atomic<std::uint64_t> fast_retransmits{0};
     std::atomic<std::uint64_t> duplicates_suppressed{0};
     std::atomic<std::uint64_t> acks_sent{0};    ///< standalone ack frames
     std::atomic<std::uint64_t> ack_latency_ns{0};
@@ -157,13 +160,16 @@ struct reliability_params
     /// before a standalone ack frame is emitted.
     std::int64_t ack_delay_us = 200;
 
-    /// Retransmission timeout bounds and backoff.  The floor is
-    /// deliberately conservative: the protocol has no flow control, so
-    /// until the smoothed RTT converges a burst of outstanding frames
-    /// must not outrun the timer — an aggressive floor turns every
-    /// burst into a spurious retransmit storm (and Karn's rule then
-    /// keeps srtt from ever converging).  Latency-sensitive callers
-    /// with small windows can lower it.
+    /// Retransmission timeout bounds and backoff.  The RTO is the
+    /// fallback: a hole the sack bitmap proves lost (three later frames
+    /// selectively acked, or every later frame for a short tail) is
+    /// resent at once, so the timer only recovers tail losses and lost
+    /// retransmits.  That is why the floor can stay conservative: until
+    /// the smoothed RTT converges a burst of outstanding frames must not
+    /// outrun the timer — an aggressive floor turns every burst into a
+    /// spurious retransmit storm (and Karn's rule then keeps srtt from
+    /// ever converging).  Latency-sensitive callers with small windows
+    /// can lower it.
     std::int64_t min_rto_us = 50000;
     std::int64_t max_rto_us = 200000;
     double rto_backoff = 2.0;
@@ -524,6 +530,10 @@ private:
     /// would eat what parallel decode gains.
     static constexpr std::size_t receive_min_chunk_parcels = 8;
 
+    /// Selectively acked frames above a hole that declare it lost (RFC
+    /// 6675's DupThresh): a pairwise reorder never reaches it.
+    static constexpr std::uint64_t fast_retransmit_dupthresh = 3;
+
     struct inbound_message
     {
         std::uint32_t src;
@@ -563,7 +573,8 @@ private:
     /// via the shard snapshots (try-lock; concurrent callers skip).
     bool evict_hand_step(std::int64_t now);
     /// Per-peer deadline service driven by the due-time ring: due acks,
-    /// windowed RTO retransmits, starvation/dark-link handling, deferred
+    /// windowed retransmits (RTO expiries and the holes handle_acks made
+    /// due on sack evidence), starvation/dark-link handling, deferred
     /// release, phi-accrual liveness, heartbeats and dead-peer probes —
     /// everything the old full-map background walks did, now amortized
     /// O(active).  Returns the peer's next absolute deadline.

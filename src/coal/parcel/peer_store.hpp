@@ -121,6 +121,11 @@ struct unacked_frame
     std::int64_t deadline_ns = 0;
     std::int64_t rto_ns = 0;
     unsigned attempts = 1;
+    /// Sack evidence declared the first transmission lost: the frame was
+    /// made due at once for one early resend, which keeps its RTO
+    /// unbacked-off.  Set at most once — if that copy is lost too, the
+    /// timer recovers it.
+    bool fast_retransmitted = false;
 };
 
 /// A sequenced frame parked for reordering.  Held *undecoded* — the

@@ -343,6 +343,10 @@ void runtime::register_counters()
             "duplicate messages forged by the fault plan"},
         {"/net/count/retransmits", cumulative, parcels(&C::retransmits),
             "frames retransmitted by the reliability layer"},
+        {"/net/count/fast-retransmits", cumulative,
+            parcels(&C::fast_retransmits),
+            "frames retransmitted early because later frames were selectively "
+            "acked"},
         {"/net/count/duplicates-suppressed", cumulative,
             parcels(&C::duplicates_suppressed),
             "received frames discarded as duplicates by the reliability layer"},

@@ -1,7 +1,7 @@
 // Reliability layer (ack/retransmit/dedup) driven through a fault-
 // injecting loopback: exactly-once in-order delivery under drops,
-// duplicates and reordering, standalone acks, and the per-link circuit
-// breaker.
+// duplicates and reordering, standalone acks, sack-driven fast and early
+// retransmit, and the per-link circuit breaker.
 
 #include <coal/parcel/parcelhandler.hpp>
 
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -60,18 +61,99 @@ reliability_params fast_reliability()
     return rel;
 }
 
-// Two-locality harness: loopback wrapped in the fault injector, with the
-// ack/retransmit layer switched on.
+constexpr double pinned_rto_ms = 200.0;
+
+// The RTO pinned at 200 ms: a recovery well under it can only have been
+// driven by sack evidence.
+reliability_params pinned_rto_reliability()
+{
+    reliability_params rel = fast_reliability();
+    rel.min_rto_us = rel.max_rto_us =
+        static_cast<std::int64_t>(pinned_rto_ms * 1000.0);
+    return rel;
+}
+
+// Drops the first `copies` transmissions of chosen sequenced data frames
+// (seq -> copies) on link 0 -> 1; everything else passes through.
+class frame_dropper final : public coal::net::transport
+{
+public:
+    frame_dropper(transport& inner, std::map<std::uint64_t, unsigned> drops)
+      : inner_(inner)
+      , drops_(std::move(drops))
+    {
+    }
+
+    void set_delivery_handler(
+        std::uint32_t dst, delivery_handler handler) override
+    {
+        inner_.set_delivery_handler(dst, std::move(handler));
+    }
+
+    void send(std::uint32_t src, std::uint32_t dst,
+        coal::serialization::wire_message&& message) override
+    {
+        if (!drops_.empty() && src == 0 && dst == 1)
+        {
+            // Sequenced frames go out flattened: fragment 0 is the frame.
+            auto const seq =
+                coal::parcel::peek_frame(message.fragment(0)).header.seq;
+            std::lock_guard lock(mutex_);
+            if (auto it = drops_.find(seq);
+                seq != 0 && it != drops_.end() && it->second != 0)
+            {
+                --it->second;
+                return;
+            }
+        }
+        inner_.send(src, dst, std::move(message));
+    }
+
+    [[nodiscard]] double recv_overhead_us() const noexcept override
+    {
+        return inner_.recv_overhead_us();
+    }
+
+    [[nodiscard]] std::uint64_t in_flight() const noexcept override
+    {
+        return inner_.in_flight();
+    }
+
+    void drain() override
+    {
+        inner_.drain();
+    }
+
+    [[nodiscard]] coal::net::transport_stats stats() const override
+    {
+        return inner_.stats();
+    }
+
+    void shutdown() override
+    {
+        inner_.shutdown();
+    }
+
+private:
+    transport& inner_;
+    std::mutex mutex_;
+    std::map<std::uint64_t, unsigned> drops_;
+};
+
+// Two-locality harness: loopback wrapped in the fault injector (and the
+// frame dropper), with the ack/retransmit layer switched on.
 struct lossy_harness
 {
-    explicit lossy_harness(
-        fault_plan plan, reliability_params rel = fast_reliability())
+    explicit lossy_harness(fault_plan plan,
+        reliability_params rel = fast_reliability(),
+        std::map<std::uint64_t, unsigned> drops = {})
       : inner(2)
       , faulty(inner, plan)
+      , dropper(faulty, std::move(drops))
       , sched0(make_cfg())
       , sched1(make_cfg())
-      , ph0(0, faulty, sched0, rel)
-      , ph1(1, faulty, sched1, rel)
+      , ph0(0, dropper, sched0, rel)
+      , ph1(1, dropper, sched1, rel)
     {
         g_rel_sum = 0;
         {
@@ -133,8 +215,22 @@ struct lossy_harness
         FAIL() << "lossy harness did not settle";
     }
 
+    // Milliseconds until locality 1 has executed `n` parcels (a negative
+    // value if it never does within 5 s).
+    double ms_until_executed(coal::stopwatch const& clock, unsigned n)
+    {
+        while (clock.elapsed_ms() < 5000.0)
+        {
+            if (ph1.counters().parcels_executed.load() >= n)
+                return clock.elapsed_ms();
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        return -1.0;
+    }
+
     loopback_transport inner;
     faulty_transport faulty;
+    frame_dropper dropper;
     scheduler sched0, sched1;
     parcelhandler ph0, ph1;
 };
@@ -147,6 +243,16 @@ parcel make_request(std::uint32_t dst, int arg, std::uint64_t continuation = 0)
     p.continuation = continuation;
     p.arguments = rel_record_action::make_arguments(arg);
     return p;
+}
+
+// Every parcel 0..n-1 executed exactly once, in send order.
+void expect_executed_in_order(int n)
+{
+    std::vector<int> expected(n);
+    for (int i = 0; i != n; ++i)
+        expected[i] = i;
+    std::lock_guard lock(g_rel_order_lock);
+    EXPECT_EQ(g_rel_order, expected);
 }
 
 TEST(Reliability, ExactlyOnceUnderDrops)
@@ -195,11 +301,7 @@ TEST(Reliability, ReorderedFramesAreDeliveredInOrder)
         h.ph0.put_parcel(make_request(1, i));
     h.settle();
 
-    std::vector<int> expected(n);
-    for (int i = 0; i != n; ++i)
-        expected[i] = i;
-    std::lock_guard lock(g_rel_order_lock);
-    EXPECT_EQ(g_rel_order, expected);
+    expect_executed_in_order(n);
 }
 
 TEST(Reliability, StandaloneAckDrainsUnackedWithoutRetransmit)
@@ -274,6 +376,92 @@ TEST(Reliability, CircuitBreakerTripsDuringBlackoutAndHeals)
     EXPECT_EQ(h.ph1.counters().parcels_executed.load(), static_cast<unsigned>(n));
     EXPECT_FALSE(h.ph0.link_degraded(1));
     EXPECT_GT(h.ph0.counters().retransmits.load(), 0u);
+}
+
+// Sends parcels 0..n-1 from locality 0 to 1, one frame each, and
+// returns the milliseconds until all of them executed.
+double send_and_time(lossy_harness& h, int n)
+{
+    coal::stopwatch clock;
+    for (int i = 0; i != n; ++i)
+        h.ph0.put_parcel(make_request(1, i));
+    double const ms = h.ms_until_executed(clock, static_cast<unsigned>(n));
+    h.settle();
+    return ms;
+}
+
+// Frame 3 of n is lost once.  Sack evidence must recover it long before
+// the 200 ms RTO would, with exactly one retransmit, a fast one.
+void expect_sack_driven_recovery(int n)
+{
+    lossy_harness h(fault_plan{}, pinned_rto_reliability(), {{3, 1}});
+    double const ms = send_and_time(h, n);
+
+    EXPECT_GE(ms, 0.0);
+    EXPECT_LT(ms, pinned_rto_ms / 2);
+    expect_executed_in_order(n);
+    EXPECT_EQ(h.ph0.counters().fast_retransmits.load(), 1u);
+    EXPECT_EQ(h.ph0.counters().retransmits.load(), 1u);
+}
+
+TEST(Reliability, FastRetransmitRecoversHoleWithinRoundTrips)
+{
+    // 13 frames follow the hole: three sacks above it prove it lost.
+    expect_sack_driven_recovery(16);
+}
+
+TEST(Reliability, EarlyRetransmitRecoversShortTail)
+{
+    // One frame follows the hole, so three sacks above it can never
+    // arrive; every later frame being sacked is the evidence instead.
+    expect_sack_driven_recovery(4);
+}
+
+TEST(Reliability, LostFastRetransmitFallsBackToTimeout)
+{
+    // The fast retransmit of frame 3 is lost too.  Further sacks do not
+    // resend it again; the RTO does, exactly once, one un-backed-off RTO
+    // after the fast retransmit (the raised ceiling would let a backoff
+    // on the fast path show as a doubled wait).
+    reliability_params rel = pinned_rto_reliability();
+    rel.max_rto_us = 5 * rel.min_rto_us;
+    lossy_harness h(fault_plan{}, rel, {{3, 2}});
+    constexpr int n = 16;
+    double const ms = send_and_time(h, n);
+
+    EXPECT_GE(ms, pinned_rto_ms);
+    EXPECT_LT(ms, 1.5 * pinned_rto_ms);
+    expect_executed_in_order(n);
+    EXPECT_EQ(h.ph0.counters().fast_retransmits.load(), 1u);
+    EXPECT_EQ(h.ph0.counters().retransmits.load(), 2u);
+}
+
+// Faults that lose nothing must never pass for sack evidence of a loss.
+void expect_no_fast_retransmit(fault_plan const& plan)
+{
+    lossy_harness h(plan, pinned_rto_reliability());
+    constexpr int n = 60;
+    send_and_time(h, n);
+
+    expect_executed_in_order(n);
+    EXPECT_EQ(h.ph0.counters().fast_retransmits.load(), 0u);
+    EXPECT_EQ(h.ph1.counters().fast_retransmits.load(), 0u);
+}
+
+TEST(Reliability, PairwiseReorderCausesNoFastRetransmit)
+{
+    // Every frame swaps with its successor: a hole never has more than
+    // one sacked frame above it, and it fills before the ack goes out.
+    fault_plan plan;
+    plan.reorder_probability = 1.0;
+    expect_no_fast_retransmit(plan);
+}
+
+TEST(Reliability, DuplicatesCauseNoFastRetransmit)
+{
+    fault_plan plan;
+    plan.duplicate_probability = 1.0;
+    expect_no_fast_retransmit(plan);
 }
 
 TEST(Reliability, DisabledLayerSendsUnsequencedFrames)
