@@ -118,11 +118,6 @@ public:
             coal::parcel::encode_message({}, ack).flatten_copy());
     }
 
-    [[nodiscard]] double recv_overhead_us() const noexcept override
-    {
-        return 0.0;
-    }
-
     [[nodiscard]] std::uint64_t in_flight() const noexcept override
     {
         return 0;    // delivery is inline

@@ -5,7 +5,6 @@
 #include <coal/common/stopwatch.hpp>
 
 #include <algorithm>
-#include <chrono>
 
 namespace coal::adaptive {
 
@@ -14,8 +13,7 @@ adaptive_coalescer::adaptive_coalescer(runtime& rt, tuner_config config)
   , config_(std::move(config))
 {
     COAL_ASSERT_MSG(!config_.action_name.empty(), "tuner needs an action");
-    COAL_ASSERT(config_.min_nparcels >= 1);
-    COAL_ASSERT(config_.max_nparcels >= config_.min_nparcels);
+    COAL_ASSERT(config_.max_nparcels >= min_nparcels);
     COAL_ASSERT(config_.min_interval_us >= 1);
     COAL_ASSERT(config_.max_interval_us >= config_.min_interval_us);
 
@@ -26,7 +24,7 @@ adaptive_coalescer::adaptive_coalescer(runtime& rt, tuner_config config)
         "constructing the adaptive controller");
     base_params_ = *params;
     current_ = std::clamp(
-        base_params_.nparcels, config_.min_nparcels, config_.max_nparcels);
+        base_params_.nparcels, min_nparcels, config_.max_nparcels);
     current_interval_ = std::clamp(base_params_.interval_us,
         config_.min_interval_us, config_.max_interval_us);
 
@@ -42,16 +40,11 @@ adaptive_coalescer::adaptive_coalescer(runtime& rt, tuner_config config)
     last_sample_ns_ = now_ns();
 }
 
-adaptive_coalescer::~adaptive_coalescer()
-{
-    stop();
-}
-
 std::size_t adaptive_coalescer::step_nparcels(
     std::size_t n, int direction) const
 {
     std::size_t const next = direction > 0 ? n * 2 : n / 2;
-    return std::clamp(next, config_.min_nparcels, config_.max_nparcels);
+    return std::clamp(next, min_nparcels, config_.max_nparcels);
 }
 
 std::int64_t adaptive_coalescer::step_interval(
@@ -84,15 +77,6 @@ void adaptive_coalescer::apply(std::size_t n, std::int64_t interval_us)
     coalescing::coalescing_params p = base_params_;
     p.nparcels = n;
     p.interval_us = interval_us;
-    // The inter-node tier tracks the tuned base knobs at fixed ratios so
-    // hierarchical routing and the hill-climb compose without a second
-    // search dimension.
-    p.inter_nparcels = std::max<std::size_t>(n,
-        static_cast<std::size_t>(
-            static_cast<double>(n) * config_.inter_nparcels_factor));
-    p.inter_interval_us = std::max<std::int64_t>(interval_us,
-        static_cast<std::int64_t>(static_cast<double>(interval_us) *
-            config_.inter_interval_factor));
     runtime_.set_coalescing_params(config_.action_name, p);
     current_ = n;
     current_interval_ = interval_us;
@@ -140,7 +124,7 @@ bool adaptive_coalescer::tick()
         double const ratio = rate > previous_rate_ ?
             rate / previous_rate_ :
             previous_rate_ / rate;
-        if (ratio > config_.phase_change_factor && state_ == state::settled)
+        if (ratio > phase_change_factor && state_ == state::settled)
         {
             state_ = state::warmup;
             dimension_ = dimension::nparcels;
@@ -268,30 +252,6 @@ bool adaptive_coalescer::tick()
 
     history_.push_back(rec);
     return decided;
-}
-
-void adaptive_coalescer::start()
-{
-    bool expected = false;
-    if (!running_.compare_exchange_strong(expected, true))
-        return;
-    thread_ = std::thread([this] {
-        while (running_.load(std::memory_order_acquire))
-        {
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(config_.sample_interval_us));
-            if (!running_.load(std::memory_order_acquire))
-                break;
-            tick();
-        }
-    });
-}
-
-void adaptive_coalescer::stop()
-{
-    running_.store(false, std::memory_order_release);
-    if (thread_.joinable())
-        thread_.join();
 }
 
 std::size_t adaptive_coalescer::current_nparcels() const

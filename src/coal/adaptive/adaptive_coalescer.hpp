@@ -18,18 +18,17 @@
 ///  - it hill-climbs `nparcels` in ×2 steps, settling when reversals
 ///    bracket a minimum of the measured overhead.
 ///
-/// The controller can be pumped manually (`tick()`, deterministic in
-/// tests) or run on its own sampling thread (`start()`/`stop()`).
+/// The caller pumps the controller: each `tick()` samples one window
+/// and possibly moves a parameter, so tests drive it deterministically
+/// and benches tick at their own cadence (once per phase or step).
 
 #include <coal/core/coalescing_params.hpp>
 #include <coal/perf/counter.hpp>
 #include <coal/runtime/runtime.hpp>
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace coal::adaptive {
@@ -38,11 +37,8 @@ struct tuner_config
 {
     std::string action_name;
 
-    /// Sampling period when running threaded (µs).
-    std::int64_t sample_interval_us = 50000;
-
-    /// Search bounds for nparcels (inclusive, explored in ×2 steps).
-    std::size_t min_nparcels = 1;
+    /// Upper search bound for nparcels (inclusive, explored in ×2 steps
+    /// from adaptive_coalescer::min_nparcels).
     std::size_t max_nparcels = 512;
 
     /// Relative overhead change required to call a move "worse" (the
@@ -55,23 +51,12 @@ struct tuner_config
     /// trigger decisions).
     std::uint64_t min_parcels_per_sample = 64;
 
-    /// Relative change in parcel arrival rate that signals a new
-    /// application phase and re-opens exploration.
-    double phase_change_factor = 3.0;
-
     /// Also tune the flush wait time after nparcels settles (coordinate
     /// descent over the paper's full parameter space, §VI's "broad set
     /// of messaging parameters").
     bool tune_interval = false;
     std::int64_t min_interval_us = 500;
     std::int64_t max_interval_us = 16000;
-
-    /// Hierarchical routing: the inter-node (node-pair) tier follows the
-    /// tuned base knobs at these fixed ratios — the controller climbs one
-    /// surface and both tiers move together, instead of doubling the
-    /// search space.
-    double inter_nparcels_factor = 8.0;
-    double inter_interval_factor = 1.0;
 };
 
 /// One controller observation/decision, for analysis and the bench.
@@ -91,18 +76,20 @@ class adaptive_coalescer
 {
 public:
     adaptive_coalescer(runtime& rt, tuner_config config);
-    ~adaptive_coalescer();
 
     adaptive_coalescer(adaptive_coalescer const&) = delete;
     adaptive_coalescer& operator=(adaptive_coalescer const&) = delete;
 
+    /// Lower search bound for nparcels (1 = coalescing off).
+    static constexpr std::size_t min_nparcels = 1;
+
+    /// Relative change in parcel arrival rate that signals a new
+    /// application phase and re-opens exploration.
+    static constexpr double phase_change_factor = 3.0;
+
     /// Take one sample and possibly adjust nparcels.  Returns true if a
     /// decision (parameter change) was made.
     bool tick();
-
-    /// Run tick() on a dedicated thread every sample_interval_us.
-    void start();
-    void stop();
 
     [[nodiscard]] std::size_t current_nparcels() const;
     [[nodiscard]] std::int64_t current_interval_us() const;
@@ -175,9 +162,6 @@ private:
     std::uint64_t tick_count_ = 0;
     std::uint64_t decisions_ = 0;
     std::int64_t last_sample_ns_ = 0;
-
-    std::atomic<bool> running_{false};
-    std::thread thread_;
 };
 
 }    // namespace coal::adaptive

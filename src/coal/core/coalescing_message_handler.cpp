@@ -10,6 +10,17 @@
 
 namespace coal::coalescing {
 
+namespace {
+
+/// Hierarchical routing: a node-pair buffer drains node_size destination
+/// streams at once, so it fills correspondingly faster and batches
+/// nparcels × this many parcels.  The inter tier grows batches by size
+/// only and keeps the base interval, so sparse cross-node traffic keeps
+/// the application's chosen latency bound.
+constexpr std::size_t inter_nparcels_factor = 8;
+
+}    // namespace
+
 coalescing_message_handler::coalescing_message_handler(std::string name,
     parcel::parcelhandler& parcels, timing::deadline_timer_service& timers,
     shared_params_ptr params, std::shared_ptr<coalescing_counters> counters)
@@ -154,17 +165,13 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
     }
 
     // Hierarchical routing: a cross-node parcel joins its node-pair
-    // buffer under the patient inter-node knobs; everything downstream
+    // buffer under the larger inter-node batch; everything downstream
     // of here keys on `route`, and the wire destination (the node's
     // relay) is resolved only at hand-off.
     std::uint32_t const route = route_of(dst);
     bool const relayed = route != dst;
     if (relayed)
-    {
-        node_routed_.fetch_add(1, std::memory_order_relaxed);
-        params.nparcels = params.effective_inter_nparcels();
-        params.interval_us = params.effective_inter_interval_us();
-    }
+        params.nparcels *= inter_nparcels_factor;
     std::uint32_t const wire_dst = relayed ? resolve_target(route) : dst;
 
     // Per-link circuit breaker: while the reliability layer reports the
@@ -197,7 +204,6 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
     // the next enqueue.
     if (parcels_.flow_pressure(wire_dst) != pressure_state::ok)
     {
-        pressure_shrinks_.fetch_add(1, std::memory_order_relaxed);
         params.nparcels = std::max<std::size_t>(2, params.nparcels / 4);
         params.max_buffer_bytes =
             std::max<std::size_t>(1024, params.max_buffer_bytes / 4);

@@ -42,10 +42,10 @@
 /// topology with relay routing enabled, parcels whose destination lives
 /// on a *different node* do not get a per-destination queue.  They share
 /// one queue per destination NODE (a node-pair buffer: this locality ×
-/// that node), keyed by `node_route_flag | node`, batched under the
-/// patient inter-node knobs (effective_inter_nparcels/interval).  At
-/// flush time the batch ships to a designated relay locality on that
-/// node — chosen deterministically per *source* so each sender's stream
+/// that node), keyed by `node_route_flag | node`, batched to nparcels
+/// × 8 parcels under the base interval.  At flush time the batch ships
+/// to a designated relay locality on that node — chosen
+/// deterministically per *source* so each sender's stream
 /// stays concentrated on one relay while different senders spread across
 /// the node's members, sharing the fan-out work — and the relay's
 /// receive path fans the bundle out over cheap intra-node links
@@ -138,21 +138,6 @@ public:
         return breaker_bypasses_.load(std::memory_order_relaxed);
     }
 
-    /// Enqueues that ran with shrunken batch targets because the
-    /// flow-control layer reported memory/link pressure toward the
-    /// destination (early-flush overload degradation).
-    [[nodiscard]] std::uint64_t pressure_shrinks() const noexcept
-    {
-        return pressure_shrinks_.load(std::memory_order_relaxed);
-    }
-
-    /// Parcels that entered a node-pair (inter-node relay) queue instead
-    /// of a per-destination one.
-    [[nodiscard]] std::uint64_t node_routed() const noexcept
-    {
-        return node_routed_.load(std::memory_order_relaxed);
-    }
-
     /// Queue-map key of a node-pair buffer.  Locality ids are dense and
     /// small, so the high bit cleanly separates the two key spaces.
     static constexpr std::uint32_t node_route_flag = 0x80000000u;
@@ -241,8 +226,6 @@ private:
     std::atomic<std::uint64_t> timer_flushes_{0};
     std::atomic<std::uint64_t> size_flushes_{0};
     std::atomic<std::uint64_t> breaker_bypasses_{0};
-    std::atomic<std::uint64_t> pressure_shrinks_{0};
-    std::atomic<std::uint64_t> node_routed_{0};
 };
 
 }    // namespace coal::coalescing

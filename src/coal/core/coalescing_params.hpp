@@ -45,33 +45,9 @@ struct coalescing_params
     /// the ablation bench can quantify the design choice; leave on.
     bool sparse_bypass = true;
 
-    /// Inter-node tier overrides for hierarchical (two-level) routing:
-    /// parcels crossing a node boundary aggregate per node *pair* under
-    /// these targets instead of the base ones — large and patient, since
-    /// the expensive per-message overhead they amortize is the cross-node
-    /// one, while the base knobs stay small and latency-sensitive for the
-    /// cheap intra-node tier.  0 = derive from the base knobs: nparcels
-    /// ×8 (a node-pair buffer drains node_size destination streams at
-    /// once, so it fills correspondingly faster) and interval ×1 — the
-    /// inter tier grows batches by *size*, never by added flush latency,
-    /// so sparse cross-node traffic keeps the application's chosen
-    /// latency bound.  Ignored while hierarchical routing is off.
-    std::size_t inter_nparcels = 0;
-    std::int64_t inter_interval_us = 0;
-
     [[nodiscard]] bool coalescing_enabled() const noexcept
     {
         return nparcels > 1 && interval_us > 0;
-    }
-
-    [[nodiscard]] std::size_t effective_inter_nparcels() const noexcept
-    {
-        return inter_nparcels != 0 ? inter_nparcels : nparcels * 8;
-    }
-
-    [[nodiscard]] std::int64_t effective_inter_interval_us() const noexcept
-    {
-        return inter_interval_us != 0 ? inter_interval_us : interval_us;
     }
 
     friend bool operator==(
@@ -113,10 +89,6 @@ public:
             p.max_buffer_bytes =
                 max_buffer_bytes_.load(std::memory_order_relaxed);
             p.sparse_bypass = sparse_bypass_.load(std::memory_order_relaxed);
-            p.inter_nparcels =
-                inter_nparcels_.load(std::memory_order_relaxed);
-            p.inter_interval_us =
-                inter_interval_us_.load(std::memory_order_relaxed);
             std::atomic_thread_fence(std::memory_order_acquire);
             if (version_.load(std::memory_order_relaxed) == v1)
                 return p;
@@ -142,9 +114,6 @@ private:
         interval_us_.store(p.interval_us, std::memory_order_relaxed);
         max_buffer_bytes_.store(p.max_buffer_bytes, std::memory_order_relaxed);
         sparse_bypass_.store(p.sparse_bypass, std::memory_order_relaxed);
-        inter_nparcels_.store(p.inter_nparcels, std::memory_order_relaxed);
-        inter_interval_us_.store(
-            p.inter_interval_us, std::memory_order_relaxed);
     }
 
     spinlock write_lock_;
@@ -153,8 +122,6 @@ private:
     std::atomic<std::int64_t> interval_us_{4000};
     std::atomic<std::size_t> max_buffer_bytes_{1 << 20};
     std::atomic<bool> sparse_bypass_{true};
-    std::atomic<std::size_t> inter_nparcels_{0};
-    std::atomic<std::int64_t> inter_interval_us_{0};
 };
 
 using shared_params_ptr = std::shared_ptr<shared_params>;

@@ -25,11 +25,6 @@ public:
     void send(std::uint32_t src, std::uint32_t dst,
         serialization::wire_message&& message) override;
 
-    [[nodiscard]] double recv_overhead_us() const noexcept override
-    {
-        return 0.0;
-    }
-
     [[nodiscard]] std::uint64_t in_flight() const noexcept override
     {
         return 0;    // delivery is synchronous

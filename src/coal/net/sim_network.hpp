@@ -16,7 +16,7 @@
 ///  - `send_per_kb_us`: additional sender CPU per KiB (buffer handling).
 ///  - `recv_overhead_us`: per-message CPU cost on the receiver, charged by
 ///    the receiving parcelport when it drains its inbox (published via
-///    transport::recv_overhead_us()).
+///    transport::recv_overhead_us(src, dst)).
 ///  - `wire_latency_us` and `bandwidth_bytes_per_us`: delivery time.
 ///    Each directed link transmits serially (a message waits for the tail
 ///    of the previous one), so bandwidth is a real shared resource.
@@ -115,12 +115,7 @@ public:
     void send(std::uint32_t src, std::uint32_t dst,
         serialization::wire_message&& message) override;
 
-    [[nodiscard]] double recv_overhead_us() const noexcept override
-    {
-        return model_.recv_overhead_us;
-    }
-
-    [[nodiscard]] double link_recv_overhead_us(
+    [[nodiscard]] double recv_overhead_us(
         std::uint32_t src, std::uint32_t dst) const noexcept override
     {
         return model_for(src, dst).recv_overhead_us;
@@ -153,11 +148,6 @@ public:
     [[nodiscard]] cost_model const& model() const noexcept
     {
         return model_;
-    }
-
-    [[nodiscard]] cost_model const& intra_model() const noexcept
-    {
-        return intra_model_;
     }
 
     /// Tier-resolved cost model for a directed link.

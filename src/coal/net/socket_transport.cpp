@@ -345,7 +345,7 @@ socket_transport::socket_transport(socket_params params,
         auto c = std::make_unique<connection>();
         c->endpoint_index = i;
         c->outbound = true;
-        c->backoff_us = params_.reconnect_initial_us;
+        c->backoff_us = reconnect_initial_us;
         out_conns_.push_back(std::move(c));
     }
 
@@ -444,7 +444,7 @@ void socket_transport::send(std::uint32_t src, std::uint32_t dst,
 
     {
         std::lock_guard lock(conn.qlock);
-        if (conn.q_bytes + f.total() > params_.max_backlog_bytes)
+        if (conn.q_bytes + f.total() > max_backlog_bytes)
         {
             // Outbound backlog cap: shed instead of buffering without
             // bound while a peer is down.  The reliability layer holds
@@ -546,7 +546,7 @@ void socket_transport::finish_connect(connection& c, std::int64_t now_ns_)
 {
     (void) now_ns_;
     c.st = connection::state::open;
-    c.backoff_us = params_.reconnect_initial_us;
+    c.backoff_us = reconnect_initial_us;
     c.peer_goodbye = false;
     c.hello_verified = false;
     wire_connects_.fetch_add(1, std::memory_order_relaxed);
@@ -555,7 +555,7 @@ void socket_transport::finish_connect(connection& c, std::int64_t now_ns_)
     // connection) but keeps no history: the parcel layer's sequencing is
     // what makes reconnection exactly-once, not the socket.
     c.decoder = std::make_unique<wire::frame_decoder>(
-        params_.max_frame_bytes,
+        max_frame_bytes,
         [this, &c](wire::frame_header const& h,
             serialization::shared_buffer&& payload) {
             on_frame(c, h, std::move(payload));
@@ -578,7 +578,7 @@ void socket_transport::connect_failed(connection& c, std::int64_t now_ns_)
         jitter_us(nonce_ ^ c.endpoint_index, c.connect_attempts,
             c.backoff_us / 2 + 1) *
             1000;
-    c.backoff_us = std::min(c.backoff_us * 2, params_.reconnect_max_us);
+    c.backoff_us = std::min(c.backoff_us * 2, reconnect_max_us);
 }
 
 void socket_transport::send_hello(connection& c)
@@ -682,7 +682,7 @@ void socket_transport::accept_pending(endpoint_info& ep)
         c->endpoint_index = static_cast<std::uint32_t>(-1);
         auto* raw = c.get();
         c->decoder = std::make_unique<wire::frame_decoder>(
-            params_.max_frame_bytes,
+            max_frame_bytes,
             [this, raw](wire::frame_header const& h,
                 serialization::shared_buffer&& payload) {
                 on_frame(*raw, h, std::move(payload));

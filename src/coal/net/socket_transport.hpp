@@ -89,19 +89,6 @@ struct socket_params
     /// (transport-level unit tests) trivially agree.
     std::uint64_t registry_digest = 0;
 
-    /// Hard cap on a frame's payload; longer length prefixes are treated
-    /// as stream corruption (decoder never allocates past this).
-    std::size_t max_frame_bytes = 16u << 20;
-
-    /// Per-connection outbound backlog cap; frames beyond it are dropped
-    /// (counted) and recovered by the reliability layer.
-    std::size_t max_backlog_bytes = 64u << 20;
-
-    /// Reconnect backoff: initial delay, doubled per failure up to the
-    /// cap, with deterministic jitter.
-    std::int64_t reconnect_initial_us = 2'000;
-    std::int64_t reconnect_max_us = 500'000;
-
     /// await_ready() gives up after this long (a peer process that never
     /// starts).
     std::int64_t bootstrap_timeout_ms = 20'000;
@@ -155,12 +142,6 @@ public:
 
     void send(std::uint32_t src, std::uint32_t dst,
         serialization::wire_message&& message) override;
-
-    /// The real wire has no modeled CPU cost.
-    [[nodiscard]] double recv_overhead_us() const noexcept override
-    {
-        return 0.0;
-    }
 
     [[nodiscard]] std::uint64_t in_flight() const noexcept override
     {
@@ -251,6 +232,19 @@ public:
     bool debug_drop_connection(std::uint32_t dst_locality);
 
 private:
+    /// Hard cap on a frame's payload; longer length prefixes are treated
+    /// as stream corruption (decoder never allocates past this).
+    static constexpr std::size_t max_frame_bytes = 16u << 20;
+
+    /// Per-connection outbound backlog cap; frames beyond it are dropped
+    /// (counted) and recovered by the reliability layer.
+    static constexpr std::size_t max_backlog_bytes = 64u << 20;
+
+    /// Reconnect backoff: initial delay, doubled per failure up to the
+    /// cap, with deterministic jitter.
+    static constexpr std::int64_t reconnect_initial_us = 2'000;
+    static constexpr std::int64_t reconnect_max_us = 500'000;
+
     struct endpoint_info;
     struct connection;
     struct out_frame;

@@ -60,22 +60,18 @@ public:
         serialization::wire_message&& message) = 0;
 
     /// Per-message CPU cost the *receiver* should charge when it picks a
-    /// message out of its inbox (µs).  The transport cannot spin on the
-    /// receiver's behalf — the cost must land on the receiving worker's
-    /// background accounting — so it publishes the figure instead.
-    [[nodiscard]] virtual double recv_overhead_us() const noexcept = 0;
-
-    /// Link-resolved variant: a topology-aware transport (sim_network
-    /// with nodes) charges less for a message that never left the node.
-    /// Defaults to the flat figure so single-tier transports (and test
-    /// doubles) implement only recv_overhead_us().  (Named distinctly
-    /// rather than overloaded so overriding one does not hide the other.)
-    [[nodiscard]] virtual double link_recv_overhead_us(
+    /// message from `src` out of `dst`'s inbox (µs).  The transport cannot
+    /// spin on the receiver's behalf — the cost must land on the receiving
+    /// worker's background accounting — so it publishes the figure
+    /// instead.  Link-resolved so a topology-aware transport (sim_network
+    /// with nodes) can charge less for a message that never left the
+    /// node.  Real and timing-exact wires model no cost.
+    [[nodiscard]] virtual double recv_overhead_us(
         std::uint32_t src, std::uint32_t dst) const noexcept
     {
         (void) src;
         (void) dst;
-        return recv_overhead_us();
+        return 0.0;
     }
 
     /// Messages handed to send() but not yet delivered to a handler.

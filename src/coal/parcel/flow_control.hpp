@@ -110,13 +110,6 @@ struct flow_params
     /// movement) on one link longer than this trips its circuit breaker.
     std::int64_t starvation_trip_us = 100000;
 
-    /// Cadence at which a link with a non-empty deferred queue re-arms
-    /// its due-ring service (release attempts, starvation-trip checks)
-    /// when no ack traffic is driving it.  With the sharded peer store
-    /// there is no periodic full-map walk to pick deferred jobs up as a
-    /// side effect — this is the explicit replacement.
-    std::int64_t defer_service_us = 5000;
-
     /// Buffer-pool watermarks the runtime applies to the global pool
     /// (bytes of live slab payload; see buffer_pool::set_watermarks).
     std::uint64_t pool_soft_bytes = 24u << 20;

@@ -106,9 +106,6 @@ struct membership_params
     /// Hard floor on silence before death can be declared, so a single
     /// slow tick never fences a healthy peer regardless of phi.
     std::int64_t min_dead_us = 400000;
-
-    /// EWMA gain for the interarrival estimate (0 < gain <= 1).
-    double interarrival_gain = 0.125;
 };
 
 }    // namespace coal::parcel

@@ -524,7 +524,7 @@ bool parcelhandler::progress_send()
             // Make sure the deferred queue gets service (starvation trip,
             // release) even if no ack ever arrives to drive it.
             ring_.schedule(e.shared_from_this(),
-                now + flow_.defer_service_us * 1000);
+                now + defer_service_us * 1000);
             trace::tracer::global().record(here_,
                 trace::event_kind::send_deferred, dst, deferred_bytes_after);
             return true;    // consumed a queue item (into the defer queue)
@@ -723,7 +723,7 @@ void parcelhandler::receive_one(inbound_message&& msg)
 
     // Receiver-side per-message CPU cost (protocol processing), priced by
     // the link tier: a frame that never left the node costs less.
-    timing::spin_for_us(transport_.link_recv_overhead_us(msg.src, here_));
+    timing::spin_for_us(transport_.recv_overhead_us(msg.src, here_));
 
     if (!reliability_.enabled || info.header.seq == 0)
     {
@@ -969,8 +969,7 @@ void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
                         static_cast<double>(now - u.first_send_ns) / 1000.0;
                     peer.srtt_us = peer.srtt_us <= 0.0 ?
                         sample_us :
-                        (1.0 - reliability_.rtt_gain) * peer.srtt_us +
-                            reliability_.rtt_gain * sample_us;
+                        (1.0 - rtt_gain) * peer.srtt_us + rtt_gain * sample_us;
                 }
                 peer.unacked_bytes -=
                     std::min<std::uint64_t>(peer.unacked_bytes, u.bytes);
@@ -1027,7 +1026,7 @@ void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
         // window is a full heartbeat interval, long enough for a caller
         // to read a healthy link and resume batching prematurely.
         if (peer.breaker_open &&
-            peer.unacked.size() <= reliability_.breaker_close_backlog &&
+            peer.unacked.size() <= breaker_close_backlog &&
             (peer.unacked.empty() ||
                 peer.unacked.begin()->second.attempts <=
                     reliability_.breaker_trip_attempts))
@@ -1057,7 +1056,7 @@ void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
             release_deferred_locked(peer, released, now);
             update_link_pressure_locked(peer);
             if (!peer.deferred.empty())
-                rearm = std::min(rearm, now + flow_.defer_service_us * 1000);
+                rearm = std::min(rearm, now + defer_service_us * 1000);
         }
         // The sack window slid: frames that were beyond the selective-
         // repeat horizon (their timers paused) may be retransmittable
@@ -1105,7 +1104,7 @@ std::int64_t parcelhandler::initial_rto_ns_locked(peer_state const& peer) const
 {
     double rto_us = static_cast<double>(reliability_.min_rto_us);
     if (peer.srtt_us > 0.0)
-        rto_us = std::clamp(reliability_.rto_rtt_multiplier * peer.srtt_us,
+        rto_us = std::clamp(rto_rtt_multiplier * peer.srtt_us,
             static_cast<double>(reliability_.min_rto_us),
             static_cast<double>(reliability_.max_rto_us));
     return static_cast<std::int64_t>(rto_us * 1000.0);
@@ -1234,7 +1233,7 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
             update_link_pressure_locked(peer);
             if (!peer.deferred.empty())
             {
-                closer(now + flow_.defer_service_us * 1000);
+                closer(now + defer_service_us * 1000);
                 if (!peer.breaker_open && peer.starved_since_ns != 0)
                     closer(peer.starved_since_ns +
                         flow_.starvation_trip_us * 1000);
@@ -1268,12 +1267,10 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
             }
             else
             {
-                double backed =
-                    static_cast<double>(u.rto_ns) * reliability_.rto_backoff;
+                double backed = static_cast<double>(u.rto_ns) * rto_backoff;
                 backed = std::min(backed,
                     static_cast<double>(reliability_.max_rto_us) * 1000.0);
-                backed *= 1.0 +
-                    reliability_.rto_jitter * jitter_unit(seq, u.attempts + 1);
+                backed *= 1.0 + rto_jitter * jitter_unit(seq, u.attempts + 1);
                 u.rto_ns = static_cast<std::int64_t>(backed);
             }
             u.attempts += 1;
@@ -1332,16 +1329,32 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
             {
                 // Phi-accrual suspicion: how many expected inter-arrival
                 // gaps have elapsed since the peer was last heard?
+                std::int64_t const stalled =
+                    stalled_ns_.load(std::memory_order_relaxed);
                 if (peer.last_heard_ns == 0)
+                {
                     peer.last_heard_ns = now;    // start the silence clock
+                    peer.stalled_at_heard_ns = stalled;
+                }
+                // Suspicion skips time we spent stalled ourselves: it is
+                // not the peer's silence.  The death verdict stays on
+                // wall-clock silence — back-to-back long tasks stall every
+                // gap between our progress() calls, and a crashed peer
+                // must still be declared dead; min_dead_us keeps one
+                // short stall from fencing a live peer.
+                std::int64_t const wall_ns = now - peer.last_heard_ns;
                 double const elapsed_us =
-                    static_cast<double>(now - peer.last_heard_ns) / 1000.0;
+                    static_cast<double>(wall_ns) / 1000.0;
                 double const mean_us = std::max(peer.ewma_interarrival_us,
                     static_cast<double>(membership_.heartbeat_interval_us));
                 double const phi = elapsed_us / mean_us;
+                double const net_phi =
+                    static_cast<double>(wall_ns -
+                        (stalled - peer.stalled_at_heard_ns)) /
+                    1000.0 / mean_us;
 
                 if (peer.status == peer_status::alive &&
-                    phi >= membership_.suspect_phi)
+                    net_phi >= membership_.suspect_phi)
                 {
                     peer.status = peer_status::suspected;
                     suspected_peers_.fetch_add(1, std::memory_order_release);
@@ -1349,11 +1362,11 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
                         1, std::memory_order_relaxed);
                     trace::tracer::global().record(here_,
                         trace::event_kind::peer_suspected, dst,
-                        static_cast<std::uint64_t>(phi * 1000.0));
+                        static_cast<std::uint64_t>(net_phi * 1000.0));
                     COAL_LOG_WARN("parcel",
                         "peer %u suspected (phi %.1f, silent %.0f us): "
                         "coalescing bypassed",
-                        dst, phi, elapsed_us);
+                        dst, net_phi, elapsed_us);
                 }
 
                 if (phi >= membership_.dead_phi &&
@@ -1862,9 +1875,14 @@ bool parcelhandler::membership_admit(
         // Source-epoch rules (0 = sender without membership: bypass).
         if (hdr.src_epoch != 0)
         {
-            if (peer.epoch == 0)
+            // First observation.  Frames already sequenced toward the
+            // peer addressed the assumed initial incarnation (see
+            // stamp_epochs_locked); a peer that first shows up under a
+            // later epoch discards them on every retransmit, so that
+            // case falls through to the rejoin fence below.
+            if (peer.epoch == 0 && (peer.next_seq == 1 || hdr.src_epoch == 1))
             {
-                peer.epoch = hdr.src_epoch;    // first observation
+                peer.epoch = hdr.src_epoch;
             }
             else if (hdr.src_epoch < peer.epoch)
             {
@@ -1877,9 +1895,10 @@ bool parcelhandler::membership_admit(
             }
             else if (hdr.src_epoch > peer.epoch)
             {
-                // The peer restarted: fence every byte of state tied to
-                // its previous incarnation, then admit the frame under the
-                // new epoch.
+                // The peer restarted (or, on first contact, restarted
+                // before we heard from it): fence every byte of state tied
+                // to its previous incarnation, then admit the frame under
+                // the new epoch.
                 fence_peer_locked(e, peer, fenced);
                 if (peer.status == peer_status::suspected)
                     suspected_peers_.fetch_sub(1, std::memory_order_release);
@@ -1912,11 +1931,11 @@ bool parcelhandler::membership_admit(
                 static_cast<double>(now - peer.last_heard_ns) / 1000.0;
             peer.ewma_interarrival_us = peer.ewma_interarrival_us <= 0.0 ?
                 sample_us :
-                (1.0 - membership_.interarrival_gain) *
-                        peer.ewma_interarrival_us +
-                    membership_.interarrival_gain * sample_us;
+                (1.0 - interarrival_gain) * peer.ewma_interarrival_us +
+                    interarrival_gain * sample_us;
         }
         peer.last_heard_ns = now;
+        peer.stalled_at_heard_ns = stalled_ns_.load(std::memory_order_relaxed);
         if (peer.status == peer_status::suspected)
         {
             peer.status = peer_status::alive;
@@ -2273,6 +2292,26 @@ bool parcelhandler::progress()
     if (stopped_.load(std::memory_order_acquire) ||
         crashed_.load(std::memory_order_acquire))
         return false;
+    if (membership_.enabled)
+    {
+        // Stamp at most once per `grain` so workers calling this after
+        // every task do not all write the shared line.  A call within
+        // `grain` of the stamp may have gone unstamped, so only the gap
+        // beyond `grain` is certainly stalled.
+        std::int64_t const interval_ns =
+            membership_.heartbeat_interval_us * 1000;
+        std::int64_t const grain = interval_ns / 8;
+        std::int64_t const now = now_ns();
+        std::int64_t prev = last_progress_ns_.load(std::memory_order_relaxed);
+        if (now - prev >= grain &&
+            last_progress_ns_.compare_exchange_strong(
+                prev, now, std::memory_order_relaxed))
+        {
+            std::int64_t const stall = now - prev - grain;
+            if (prev != 0 && stall > interval_ns)
+                stalled_ns_.fetch_add(stall, std::memory_order_relaxed);
+        }
+    }
     bool const sent = progress_send();
     bool const received = progress_receive();
     bool pumped = false;

@@ -160,37 +160,28 @@ struct reliability_params
     /// before a standalone ack frame is emitted.
     std::int64_t ack_delay_us = 200;
 
-    /// Retransmission timeout bounds and backoff.  The RTO is the
-    /// fallback: a hole the sack bitmap proves lost (three later frames
-    /// selectively acked, or every later frame for a short tail) is
-    /// resent at once, so the timer only recovers tail losses and lost
-    /// retransmits.  That is why the floor can stay conservative: until
-    /// the smoothed RTT converges a burst of outstanding frames must not
-    /// outrun the timer — an aggressive floor turns every burst into a
-    /// spurious retransmit storm (and Karn's rule then keeps srtt from
-    /// ever converging).  Latency-sensitive callers with small windows
-    /// can lower it.
+    /// Retransmission timeout bounds.  The RTO is the fallback: a hole
+    /// the sack bitmap proves lost (three later frames selectively
+    /// acked, or every later frame for a short tail) is resent at once,
+    /// so the timer only recovers tail losses and lost retransmits.  That
+    /// is why the floor can stay conservative: until the smoothed RTT
+    /// converges a burst of outstanding frames must not outrun the timer
+    /// — an aggressive floor turns every burst into a spurious retransmit
+    /// storm (and Karn's rule then keeps srtt from ever converging).
+    /// Latency-sensitive callers with small windows can lower it.
     std::int64_t min_rto_us = 50000;
     std::int64_t max_rto_us = 200000;
-    double rto_backoff = 2.0;
-    double rto_jitter = 0.25;    ///< uniform fraction added on each backoff
-
-    /// RTO = rto_rtt_multiplier × smoothed RTT (clamped to the bounds);
-    /// the EWMA gain follows RFC 6298's alpha.
-    double rtt_gain = 0.125;
-    double rto_rtt_multiplier = 4.0;
 
     /// Per-link circuit breaker: opens when the retransmit backlog or the
     /// oldest frame's attempt count crosses a threshold, closes once the
-    /// backlog drains to the low-water mark.  An open breaker makes the
-    /// coalescer flush immediately for that destination.
+    /// backlog drains to parcelhandler::breaker_close_backlog.  An open
+    /// breaker makes the coalescer flush immediately for that destination.
     /// A healthy burst parks hundreds of unacked frames for one RTT, so
     /// the backlog threshold must sit well above any sane window, and a
     /// frame must survive several backoff doublings before its attempt
     /// count signals a dark link rather than a slow ack.
     std::size_t breaker_trip_backlog = 4096;
     unsigned breaker_trip_attempts = 5;
-    std::size_t breaker_close_backlog = 2;
 };
 
 /// Ordering ticket for send_message.  Producers that detach batches
@@ -438,11 +429,6 @@ public:
     };
     [[nodiscard]] peer_store_stats peer_stats() const;
 
-    [[nodiscard]] peer_store_params const& store_params() const noexcept
-    {
-        return store_params_;
-    }
-
     /// Test/debug introspection: bytes and entries the reliability/flow
     /// layers retain for one peer.  A fenced (dead) peer must show zero
     /// everywhere — that is the "no per-peer state leak" invariant the
@@ -533,6 +519,24 @@ private:
     /// Selectively acked frames above a hole that declare it lost (RFC
     /// 6675's DupThresh): a pairwise reorder never reaches it.
     static constexpr std::uint64_t fast_retransmit_dupthresh = 3;
+
+    /// RTO = rto_rtt_multiplier × smoothed RTT, clamped to the
+    /// reliability_params bounds; the RTT EWMA gain is RFC 6298's alpha.
+    static constexpr double rto_rtt_multiplier = 4.0;
+    static constexpr double rtt_gain = 0.125;
+    /// Each timeout retransmit multiplies the RTO by rto_backoff plus a
+    /// deterministic uniform jitter of up to rto_jitter of the result.
+    static constexpr double rto_backoff = 2.0;
+    static constexpr double rto_jitter = 0.25;
+    /// An open circuit breaker closes once the unacked backlog drains to
+    /// this low-water mark.
+    static constexpr std::size_t breaker_close_backlog = 2;
+    /// Re-arm cadence of the due-ring service for a link with deferred
+    /// jobs and no ack traffic driving it (release attempts,
+    /// starvation-trip checks).
+    static constexpr std::int64_t defer_service_us = 5000;
+    /// EWMA gain for the heartbeat interarrival estimate.
+    static constexpr double interarrival_gain = 0.125;
 
     struct inbound_message
     {
@@ -726,6 +730,14 @@ private:
     /// restart_incarnation().
     std::atomic<std::uint32_t> self_epoch_{1};
     std::atomic<bool> crashed_{false};
+    /// Total time this locality's background progress spent stalled: a
+    /// gap between progress() calls longer than a heartbeat interval (the
+    /// process was descheduled, or tasks blocked every worker).  Peers'
+    /// frames may simply not have been sent or read meanwhile — one host
+    /// can stall both sides at once — so suspicion does not count stalled
+    /// time as peer silence (the death verdict does).
+    std::atomic<std::int64_t> last_progress_ns_{0};
+    std::atomic<std::int64_t> stalled_ns_{0};
     delivery_error_handler on_delivery_error_;
 
     parcelhandler_counters counters_;

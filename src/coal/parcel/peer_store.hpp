@@ -187,6 +187,9 @@ struct peer_state
     std::uint32_t link_epoch = 0;
     peer_status status = peer_status::alive;
     std::int64_t last_heard_ns = 0;    ///< last valid frame from the peer
+    /// Our own stalled time (parcelhandler::stalled_ns_) as of
+    /// last_heard_ns: suspicion skips what accrued since.
+    std::int64_t stalled_at_heard_ns = 0;
     std::int64_t last_sent_ns = 0;     ///< last frame we emitted to it
     std::int64_t last_probe_ns = 0;    ///< last dead-peer rejoin probe
     /// EWMA of inter-arrival gaps, the phi-accrual denominator.

@@ -50,11 +50,6 @@ public:
         return id_;
     }
 
-    [[nodiscard]] runtime& get_runtime() noexcept
-    {
-        return runtime_;
-    }
-
     [[nodiscard]] threading::scheduler& scheduler() noexcept
     {
         return *scheduler_;

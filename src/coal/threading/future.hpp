@@ -165,12 +165,6 @@ public:
         return std::get<1>(result_);
     }
 
-    bool has_exception()
-    {
-        std::lock_guard lock(mutex_);
-        return result_.index() == 2;
-    }
-
     /// Attach a continuation; runs immediately if already ready.
     void add_continuation(unique_function<void()> fn)
     {

@@ -124,11 +124,6 @@ public:
 
     [[nodiscard]] scheduler_snapshot snapshot() const noexcept;
 
-    [[nodiscard]] std::size_t worker_count() const noexcept
-    {
-        return counters_.size();
-    }
-
 private:
     std::vector<cache_aligned<worker_counters>> counters_;
     std::atomic<std::int64_t> external_background_ns_{0};

@@ -144,8 +144,6 @@ bool scheduler::try_pop(std::size_t index, task_type& out)
 
 bool scheduler::try_steal(std::size_t thief, task_type& out)
 {
-    if (!config_.enable_stealing)
-        return false;
     std::size_t const n = queues_.size();
     for (std::size_t offset = 1; offset < n; ++offset)
     {

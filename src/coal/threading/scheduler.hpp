@@ -46,7 +46,6 @@ using background_fn = std::function<bool()>;
 struct scheduler_config
 {
     unsigned num_workers = 1;
-    bool enable_stealing = true;
     /// How long an idle worker sleeps between background polls (µs).
     /// Short enough that receive progress stays responsive.
     std::int64_t idle_sleep_us = 100;

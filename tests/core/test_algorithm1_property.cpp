@@ -88,11 +88,6 @@ public:
         }
     }
 
-    [[nodiscard]] double recv_overhead_us() const noexcept override
-    {
-        return 0.0;
-    }
-
     [[nodiscard]] std::uint64_t in_flight() const noexcept override
     {
         return 0;

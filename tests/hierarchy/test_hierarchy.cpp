@@ -229,6 +229,63 @@ TEST(Hierarchy, RelayedContinuationCompletesAtOrigin)
     rt.stop();
 }
 
+TEST(Hierarchy, NodePairBufferBatchesEightTimesBaseNparcels)
+{
+    // The inter-node tier batches nparcels x 8 under the base interval,
+    // and follows live parameter updates (the adaptive tuner's path).
+    // The sparse bypass and the flush timer are kept out of the way so
+    // only the size threshold can flush.
+    reset_marks();
+    auto cfg = hier_config();
+    cfg.reliability.enabled = false;
+    coal::runtime rt(cfg);
+    coal::coalescing::coalescing_params params;
+    params.nparcels = 4;
+    params.interval_us = 60'000'000;
+    params.sparse_bypass = false;
+    rt.enable_coalescing(hier_mark_action::name(), params);
+
+    auto& here = rt.get_locality(0);
+    auto const& c = here.parcels().counters();
+    std::uint32_t tag = 0;
+    // Spread over every member of node 1 {3,4,5}: one node-pair buffer.
+    auto send_cross_node = [&](std::uint32_t count) {
+        for (std::uint32_t k = 0; k != count; ++k, ++tag)
+        {
+            std::uint32_t const d = 3 + tag % 3;
+            here.apply<hier_mark_action>(coal::agas::locality_id{d}, 0u, d,
+                tag);
+        }
+    };
+    auto inter_messages_reach = [&](std::uint64_t n) {
+        coal::stopwatch deadline;
+        while (c.messages_inter_node.load() < n &&
+            deadline.elapsed_ms() < 5000.0)
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return c.messages_inter_node.load() == n;
+    };
+
+    send_cross_node(31);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(c.messages_inter_node.load(), 0u);
+    send_cross_node(1);
+    EXPECT_TRUE(inter_messages_reach(1));
+
+    params.nparcels = 2;
+    rt.set_coalescing_params(hier_mark_action::name(), params);
+    send_cross_node(15);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(c.messages_inter_node.load(), 1u);
+    send_cross_node(1);
+    EXPECT_TRUE(inter_messages_reach(2));
+    EXPECT_EQ(c.messages_intra_node.load(), 0u);
+
+    rt.quiesce();
+    for (std::uint32_t d = 3; d != 6; ++d)
+        EXPECT_EQ(g_exec[0 * hier_n + d].load(), 16u) << d;
+    rt.stop();
+}
+
 TEST(Hierarchy, DisabledTopologyNeverRelays)
 {
     // This test's premise IS the flat configuration — clear the CI knob

@@ -97,10 +97,8 @@ TEST(CostModel, SimNetworkPricesLinksByTier)
     // Same node -> intra pricing; across the node boundary -> inter.
     EXPECT_DOUBLE_EQ(net.model_for(0, 1).recv_overhead_us, 0.25);
     EXPECT_DOUBLE_EQ(net.model_for(0, 2).recv_overhead_us, 9.0);
-    EXPECT_DOUBLE_EQ(net.link_recv_overhead_us(2, 3), 0.25);
-    EXPECT_DOUBLE_EQ(net.link_recv_overhead_us(1, 2), 9.0);
-    // The tier-blind accessor keeps reporting the inter (default) tier.
-    EXPECT_DOUBLE_EQ(net.recv_overhead_us(), 9.0);
+    EXPECT_DOUBLE_EQ(net.recv_overhead_us(2, 3), 0.25);
+    EXPECT_DOUBLE_EQ(net.recv_overhead_us(1, 2), 9.0);
     net.shutdown();
 }
 
@@ -110,8 +108,7 @@ TEST(CostModel, FlatNetworkClassifiesEverythingInterNode)
     coal::net::sim_network net(4, m);
     EXPECT_FALSE(net.topo().enabled());
     EXPECT_EQ(net.topo().tier_of(0, 1), link_tier::inter_node);
-    EXPECT_DOUBLE_EQ(
-        net.link_recv_overhead_us(0, 1), m.recv_overhead_us);
+    EXPECT_DOUBLE_EQ(net.recv_overhead_us(0, 1), m.recv_overhead_us);
     net.shutdown();
 }
 

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -175,6 +176,58 @@ TEST(Membership, HeartbeatsKeepIdleLinkAlive)
     EXPECT_EQ(h.ph0.health().dead_peers, 0u);
 }
 
+TEST(Membership, LocalStallIsNotPeerSilence)
+{
+    membership_harness h(fault_plan{});
+
+    h.put(h.ph0, 1, 1);
+    h.wait_for([&] { return g_mem_sum.load() == 1; }, "delivery");
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+    // The host stalls both localities at once (modeled by a task blocking
+    // each single worker): ten heartbeat intervals pass with neither side
+    // sending nor servicing anything.  Locality 1 stalls first and stays
+    // stalled until locality 0 has resumed and serviced the link (its
+    // first heartbeat after the stall is out), so 0 judges the silence
+    // first — and must not count its own stall as silence from 1.  Each
+    // side's phi check precedes its first heartbeat after the stall, so a
+    // heartbeat count past the one at resumption means the check ran.
+    std::atomic<bool> stalled1{false};
+    std::atomic<bool> resumed0{false};
+    std::atomic<bool> resumed1{false};
+    std::uint64_t beats0 = 0;
+    std::uint64_t beats1 = 0;
+    h.sched1.post([&] {
+        stalled1 = true;
+        coal::stopwatch deadline;
+        while ((!resumed0 ||
+                   h.ph0.counters().heartbeats_sent.load() == beats0) &&
+            deadline.elapsed_ms() < 1000.0)
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        beats1 = h.ph1.counters().heartbeats_sent.load();
+        resumed1 = true;
+    });
+    h.wait_for([&] { return stalled1.load(); }, "locality 1 stalled");
+    // Let locality 0 read what 1 sent before stalling.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    h.sched0.post([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        beats0 = h.ph0.counters().heartbeats_sent.load();
+        resumed0 = true;
+    });
+    h.wait_for(
+        [&] {
+            return resumed1 &&
+                h.ph1.counters().heartbeats_sent.load() > beats1;
+        },
+        "both sides serviced the link after the stall");
+
+    EXPECT_EQ(h.ph0.counters().peers_suspected.load(), 0u);
+    EXPECT_EQ(h.ph1.counters().peers_suspected.load(), 0u);
+    EXPECT_EQ(h.ph0.peer_liveness(1), peer_status::alive);
+    EXPECT_EQ(h.ph1.peer_liveness(0), peer_status::alive);
+}
+
 TEST(Membership, SuspicionHealsWithoutDeathWhenBlackoutIsShort)
 {
     // Both directions dark for 60 ms: far past the suspicion threshold
@@ -276,6 +329,45 @@ TEST(Membership, PeerDeathFencesAllStateAndFailsParcels)
         offered);
 }
 
+TEST(Membership, LongTasksStillDeclareCrashedPeerDead)
+{
+    membership_harness h(fault_plan{});
+
+    h.put(h.ph0, 1, 1);
+    h.wait_for([&] { return g_mem_sum.load() == 1; }, "initial delivery");
+
+    // Locality 0's single worker runs back-to-back tasks of 1.5 heartbeat
+    // intervals, so every gap between its progress() calls counts as its
+    // own stall.  The peer crashing meanwhile must still be declared dead.
+    std::atomic<bool> busy{true};
+    std::atomic<int> chain_live{1};
+    std::function<void()> long_task = [&] {
+        std::this_thread::sleep_for(std::chrono::microseconds(3000));
+        if (busy.load())
+            h.sched0.post(long_task);
+        else
+            chain_live = 0;
+    };
+    h.sched0.post(long_task);
+
+    h.faulty.kill_locality(1);
+    constexpr int backlog = 5;
+    for (int i = 0; i != backlog; ++i)
+        h.put(h.ph0, 1, 1);
+
+    // Death needs 50 ms of silence (min_dead_us); allow 8x that.
+    h.wait_for([&] { return h.ph0.peer_liveness(1) == peer_status::dead; },
+        "death verdict under back-to-back long tasks", 400.0);
+    h.wait_for(
+        [&] {
+            return h.peer_failed0.load() == static_cast<std::uint64_t>(backlog);
+        },
+        "backlog failed as peer_failed", 1000.0);
+
+    busy = false;
+    h.wait_for([&] { return chain_live.load() == 0; }, "task chain ended");
+}
+
 TEST(Membership, RestartedPeerRejoinsUnderNewEpoch)
 {
     membership_harness h(fault_plan{});
@@ -327,6 +419,43 @@ TEST(Membership, RestartedPeerRejoinsUnderNewEpoch)
         "post-rejoin delivery");
 }
 
+TEST(Membership, PeerRestartedBeforeFirstContactSettles)
+{
+    membership_harness h(fault_plan{});
+
+    // Locality 1 crashes and restarts before locality 0 ever heard from
+    // it, so 0's frames address the assumed initial epoch 1 and the new
+    // incarnation discards them.  Its reply is 0's first observation of
+    // the peer, under epoch 2: the frames sequenced toward epoch 1 can
+    // never land, so they must fail as peer_failed and the stream must
+    // restart — not retransmit the stale stamp forever.
+    h.ph1.simulate_crash();
+    h.ph1.restart_incarnation();
+    EXPECT_EQ(h.ph1.epoch(), 2u);
+
+    constexpr std::uint64_t offered = 10;
+    for (std::uint64_t i = 0; i != offered; ++i)
+        h.put(h.ph0, 1, 1);
+    h.wait_for(
+        [&] {
+            return h.ph1.counters().parcels_executed.load() +
+                h.peer_failed0.load() ==
+                offered;
+        },
+        "every offered parcel settled", 5000.0);
+    EXPECT_EQ(h.ph0.debug_peer(1).epoch, 2u);
+
+    auto const executed_before = h.ph1.counters().parcels_executed.load();
+    for (int i = 0; i != 10; ++i)
+        h.put(h.ph0, 1, 1);
+    h.wait_for(
+        [&] {
+            return h.ph1.counters().parcels_executed.load() ==
+                executed_before + 10;
+        },
+        "delivery to the restarted incarnation", 5000.0);
+}
+
 TEST(Membership, GhostFramesFromDeadIncarnationNeverExecute)
 {
     membership_harness h(fault_plan{});
@@ -341,6 +470,9 @@ TEST(Membership, GhostFramesFromDeadIncarnationNeverExecute)
     h.put(h.ph0, 1, 1);
     h.wait_for([&] { return h.ph1.debug_peer(0).epoch == 2; },
         "peer adopts epoch 2");
+    // The epoch is adopted when the frame is admitted, before its parcel
+    // runs: let it run so the baseline below is stable.
+    h.wait_for([&] { return g_mem_sum.load() == 2; }, "post-restart delivery");
 
     // Forge a frame from the dead incarnation: src_epoch 1, correctly
     // addressed (dst_epoch matches), fresh sequence number.  It must be

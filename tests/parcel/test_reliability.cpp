@@ -109,11 +109,6 @@ public:
         inner_.send(src, dst, std::move(message));
     }
 
-    [[nodiscard]] double recv_overhead_us() const noexcept override
-    {
-        return inner_.recv_overhead_us();
-    }
-
     [[nodiscard]] std::uint64_t in_flight() const noexcept override
     {
         return inner_.in_flight();
