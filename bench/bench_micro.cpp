@@ -323,23 +323,9 @@ void report_zero_copy_pipeline()
 // eight destinations (best case: disjoint shards), and compares against a
 // faithful emulation of the pre-sharding design — one global std::mutex
 // over the queue map plus the old spinlock-guarded arrival statistics.
-//
-// The host running this may have few cores (CI containers often expose
-// one), where no locking scheme can show parallel speedup, so the report
-// also emits a *recorded emulation* of 8-thread spread-destination
-// throughput built from same-run single-thread measurements:
-//
-//   baseline: every enqueue runs under the one mutex, so throughput is
-//     capped at 1/t_baseline regardless of thread count (generous: lock
-//     hand-off cost under contention is ignored);
-//   sharded:  spread producers share no lock, and every per-op cost
-//     (clock read, shard spinlock, queue push, striped statistics)
-//     lands on thread-private or shard-private cachelines, so it
-//     parallelizes; the only cross-thread serialization left is the
-//     single arrival-order exchange in record_parcel, measured
-//     separately.
-//
-//   modeled_8t_speedup = min(8/t_sharded, 1/t_exchange) / (1/t_baseline)
+// The rows are measured on this host's cores only: a host with fewer
+// cores than producer threads shows no parallel speedup, and no modelled
+// extrapolation stands in for it.
 
 std::vector<coal::parcel::parcel> make_parcels(
     std::size_t count, std::uint32_t dst)
@@ -490,49 +476,6 @@ void report_enqueue_contention()
                 baseline > 0 ? sharded / baseline : 0.0);
         }
     }
-
-    // Recorded emulation of multi-core behaviour from single-thread
-    // timings (see the comment block above).  Best of three: this often
-    // runs on oversubscribed CI/VM hosts where any single run can eat a
-    // scheduling stall.
-    auto best_of3 = [](auto&& run) {
-        double best = 0.0;
-        for (int i = 0; i != 3; ++i)
-            best = std::max(best, run());
-        return best;
-    };
-    double const t_sharded_ns =
-        1e9 / best_of3([&] { return run_sharded(1, true); });
-    double const t_baseline_ns =
-        1e9 / best_of3([&] { return run_baseline(1, true); });
-
-    // The serialized cost per enqueue: one acq_rel exchange on the shared
-    // last-arrival cell.  Everything else in the sharded enqueue path
-    // writes thread- or shard-private cachelines and parallelizes.
-    std::atomic<std::int64_t> last{-1};
-    constexpr std::size_t atomic_iters = 2000000;
-    std::int64_t const a0 = coal::now_ns();
-    for (std::size_t i = 0; i != atomic_iters; ++i)
-        benchmark::DoNotOptimize(last.exchange(
-            static_cast<std::int64_t>(i), std::memory_order_acq_rel));
-    std::int64_t const a1 = coal::now_ns();
-    double const t_atomics_ns =
-        static_cast<double>(a1 - a0) / atomic_iters;
-
-    double const modeled_sharded_8t =
-        std::min(8.0 * 1e9 / t_sharded_ns, 1e9 / t_atomics_ns);
-    double const modeled_baseline_8t = 1e9 / t_baseline_ns;
-    std::printf("BENCH {\"bench\":\"micro_enqueue_contention_model\","
-                "\"host_cpus\":%u,"
-                "\"sharded_ns_per_op\":%.1f,"
-                "\"global_mutex_ns_per_op\":%.1f,"
-                "\"shared_exchange_ns_per_op\":%.1f,"
-                "\"modeled_8t_spread_parcels_per_sec\":%.0f,"
-                "\"modeled_8t_spread_speedup\":%.2f}\n",
-        std::thread::hardware_concurrency(), t_sharded_ns, t_baseline_ns,
-        t_atomics_ns, modeled_sharded_8t,
-        modeled_baseline_8t > 0 ? modeled_sharded_8t / modeled_baseline_8t :
-                                  0.0);
 }
 
 // ---- batched receive pipeline report -------------------------------------
@@ -544,20 +487,8 @@ void report_enqueue_contention()
 // per parcel, a fresh 3-closure invocation context per execution), at
 // batch sizes 1/64/512 and 1/2/4 workers.
 //
-// Few-core hosts (CI containers often expose one) cannot show parallel
-// speedup in the measured rows, so — as with the enqueue-contention
-// report — a *recorded emulation* models the 2-worker batch-512 drain
-// from same-run single-worker measurements:
-//
-//   legacy:  every per-parcel cost scales with workers (generous — in
-//     reality the per-frame decode serializes on whichever worker popped
-//     the frame, and per-parcel posts contend on the deque locks);
-//   batched: the per-parcel work (chunk decode + execute) spreads across
-//     workers; the only serial residue is the background boundary scan,
-//     measured separately per parcel.
-//
-//   modeled_batched_2w = min(2 × rate_batched_1w, 1 / t_scan_per_parcel)
-//   modeled_speedup    = modeled_batched_2w / (2 × rate_legacy_1w)
+// Like the enqueue-contention rows, these are measured only: a few-core
+// host shows little speedup from extra workers.
 
 std::vector<coal::parcel::parcel> make_sink_parcels(std::size_t count)
 {
@@ -679,48 +610,6 @@ void report_receive_pipeline()
                 legacy > 0 ? batched / legacy : 0.0);
         }
     }
-
-    // Recorded emulation of the 2-worker batch-512 drain from
-    // single-worker measurements (see the comment block above).
-    auto best_of3 = [](auto&& run) {
-        double best = 0.0;
-        for (int i = 0; i != 3; ++i)
-            best = std::max(best, run());
-        return best;
-    };
-    double const batched_1w =
-        best_of3([&] { return run_batched_receive(1, 512, total); });
-    double const legacy_1w =
-        best_of3([&] { return run_legacy_receive(1, 512, total); });
-
-    // Serial residue of the batched path: the per-parcel share of the
-    // background boundary scan.
-    auto const frame =
-        coal::parcel::encode_message(make_sink_parcels(512)).flatten_copy();
-    constexpr int scan_iters = 2000;
-    std::int64_t const s0 = coal::now_ns();
-    for (int i = 0; i != scan_iters; ++i)
-    {
-        auto offsets = coal::parcel::scan_parcel_offsets(frame, 512, 128);
-        benchmark::DoNotOptimize(offsets.data());
-    }
-    std::int64_t const s1 = coal::now_ns();
-    double const t_scan_pp =
-        static_cast<double>(s1 - s0) / (scan_iters * 512.0);
-
-    double const modeled_batched_2w =
-        std::min(2.0 * batched_1w, 1e9 / t_scan_pp);
-    double const modeled_legacy_2w = 2.0 * legacy_1w;
-    std::printf("BENCH {\"bench\":\"micro_receive_pipeline_model\","
-                "\"host_cpus\":%u,\"batch\":512,"
-                "\"batched_1w_parcels_per_sec\":%.0f,"
-                "\"legacy_1w_parcels_per_sec\":%.0f,"
-                "\"scan_ns_per_parcel\":%.2f,"
-                "\"modeled_2w_batched_parcels_per_sec\":%.0f,"
-                "\"modeled_2w_speedup\":%.2f}\n",
-        std::thread::hardware_concurrency(), batched_1w, legacy_1w, t_scan_pp,
-        modeled_batched_2w,
-        modeled_legacy_2w > 0 ? modeled_batched_2w / modeled_legacy_2w : 0.0);
 }
 
 // ---- timer wheel churn report --------------------------------------------
@@ -861,58 +750,6 @@ void report_peer_lookup_contention()
                     "\"speedup\":%.2f}\n",
             threads, npeers, sharded, baseline,
             baseline > 0 ? sharded / baseline : 0.0);
-    }
-
-    // Recorded emulation of multi-core behaviour from single-thread
-    // timings (same technique as micro_enqueue_contention: the threaded
-    // rows above only show real scaling on a host with real cores).
-    // Under the global lock the WHOLE operation is the critical section
-    // — total throughput is capped at one op per t_baseline regardless
-    // of thread count (generously ignoring the contention collapse a
-    // bouncing lock cacheline adds on real hardware).  The sharded
-    // lookup has no shared mutable state at all on the hit path — the
-    // snapshot is read-only and the per-peer lock collides with
-    // probability ~T/peers — so it scales with the thread count until
-    // two threads pick the same peer.
-    auto best_of3 = [](auto&& run) {
-        double best = 0.0;
-        for (int i = 0; i != 3; ++i)
-            best = std::max(best, run());
-        return best;
-    };
-    double const t_sharded_ns = 1e9 /
-        best_of3([&] {
-            return run_threads(1, [&](std::uint32_t id) {
-                coal::parcel::peer_entry* e = store.find(id);
-                std::lock_guard lock(e->lock);
-                benchmark::DoNotOptimize(e->live->next_seq++);
-            });
-        });
-    double const t_baseline_ns = 1e9 /
-        best_of3([&] {
-            return run_threads(1, [&](std::uint32_t id) {
-                std::lock_guard lock(map_lock);
-                auto const it = map.find(id);
-                benchmark::DoNotOptimize(it->second->next_seq++);
-            });
-        });
-    double const crossover =
-        t_baseline_ns > 0 ? t_sharded_ns / t_baseline_ns : 0.0;
-    for (unsigned threads : {8u, 16u, 32u, 64u})
-    {
-        double const modeled_sharded = threads * 1e9 / t_sharded_ns;
-        double const modeled_baseline = 1e9 / t_baseline_ns;
-        std::printf("BENCH {\"bench\":\"micro_peer_lookup_model\","
-                    "\"host_cpus\":%u,\"threads\":%u,"
-                    "\"sharded_ns_per_op\":%.1f,"
-                    "\"global_lock_ns_per_op\":%.1f,"
-                    "\"modeled_sharded_lookups_per_sec\":%.0f,"
-                    "\"modeled_global_lock_lookups_per_sec\":%.0f,"
-                    "\"modeled_speedup\":%.2f,"
-                    "\"crossover_threads\":%.1f}\n",
-            std::thread::hardware_concurrency(), threads, t_sharded_ns,
-            t_baseline_ns, modeled_sharded, modeled_baseline,
-            modeled_sharded / modeled_baseline, crossover);
     }
 }
 

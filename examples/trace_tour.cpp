@@ -1,6 +1,6 @@
 /// \file trace_tour.cpp
 /// Parcel-flow tracing: watch Algorithm 1 make its decisions.  Runs a
-/// burst (size-triggered flushes), a trickle (timeout flushes and sparse
+/// burst (size-triggered flushes), a trickle (idle flushes and sparse
 /// bypasses), and prints the event log plus a flush-reason summary.
 ///
 ///     ./build/examples/trace_tour
@@ -43,8 +43,8 @@ int main()
             futures.push_back(here.async<traced_echo_action>(other, i));
         coal::threading::wait_all(futures);
 
-        // Sparse trickle: gaps exceed the wait time, so parcels either
-        // ride the flush timer or take the bypass.
+        // Sparse trickle: gaps exceed the wait time, so parcels take the
+        // bypass, or leave on an idle flush while get() waits.
         for (int i = 0; i != 4; ++i)
         {
             here.async<traced_echo_action>(other, i).get();
@@ -54,7 +54,9 @@ int main()
     rt.stop();
     tracer.disable();
 
-    std::uint64_t by_kind[16] = {};
+    std::uint64_t
+        by_kind[static_cast<int>(coal::trace::event_kind::peer_rejoined) + 1] =
+            {};
     auto const events = tracer.snapshot();
     std::printf("captured %zu events (%llu dropped)\n\n", events.size(),
         static_cast<unsigned long long>(tracer.dropped()));
@@ -74,6 +76,7 @@ int main()
     std::printf("\nflush decisions:\n");
     for (auto kind : {coal::trace::event_kind::flush_size,
              coal::trace::event_kind::flush_timeout,
+             coal::trace::event_kind::flush_idle,
              coal::trace::event_kind::flush_forced,
              coal::trace::event_kind::coalescing_bypass})
     {

@@ -94,6 +94,7 @@ serialization::shared_buffer retrieve(
     std::uint32_t dest, std::uint64_t tag, std::uint32_t src)
 {
     auto& store = mailbox_store::instance();
+    threading::scheduler::help_scope help(threading::scheduler::current());
     unsigned idle = 0;
     for (;;)
     {

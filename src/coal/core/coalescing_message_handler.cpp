@@ -305,6 +305,18 @@ void coalescing_message_handler::on_timer(
 
 void coalescing_message_handler::flush()
 {
+    flush_all(trace::event_kind::flush_forced);
+}
+
+void coalescing_message_handler::flush_idle()
+{
+    idle_flushes_.fetch_add(
+        flush_all(trace::event_kind::flush_idle), std::memory_order_relaxed);
+}
+
+std::size_t coalescing_message_handler::flush_all(trace::event_kind kind)
+{
+    std::size_t flushed = 0;
     for (auto& shard : shards_)
     {
         // Detach every non-empty queue in one critical section, then send
@@ -319,17 +331,18 @@ void coalescing_message_handler::flush()
             {
                 if (queue.parcels.empty())
                     continue;
-                trace::tracer::global().record(parcels_.here(),
-                    trace::event_kind::flush_forced,
+                trace::tracer::global().record(parcels_.here(), kind,
                     queue.parcels.front().action, queue.parcels.size());
                 auto batch = detach_batch_locked(queue);
                 batch.gauge = batch.parcels.size();
                 batches.emplace_back(route, std::move(batch));
             }
         }
+        flushed += batches.size();
         for (auto& [route, batch] : batches)
             send_batch(route, std::move(batch));
     }
+    return flushed;
 }
 
 std::vector<parcel::parcel> coalescing_message_handler::purge()

@@ -18,6 +18,18 @@
 ///   if the queue reached nparcels, or the queued payload reached
 ///   max_buffer_bytes:                 stop the timer, flush
 ///
+/// Besides the paper's size and timer triggers, a third one fires when
+/// the locality goes idle (flush_idle, called by the parcelhandler's idle
+/// hook): no worker of the locality is running a task, so nothing local
+/// can add to a batch and waiting out the timer would only add latency —
+/// the idle flush of Charm++'s TRAM.  The rule is locality-idle, not
+/// worker-idle: the queues are shared by all of the locality's workers,
+/// so one idle worker must not flush while a sibling still produces.  A
+/// worker blocked in help-while-wait with nothing to run counts as idle,
+/// which is what sends a ping-pong's request at once instead of after
+/// the timer (the tslp bypass misses it: a fast round trip makes the next
+/// request look dense).
+///
 /// The flush timer runs on the shared deadline_timer_service (dedicated
 /// thread, µs resolution — §II-B's accuracy discussion).  The race
 /// between a size-triggered flush and the timer firing is resolved with
@@ -62,6 +74,7 @@
 #include <coal/parcel/message_handler.hpp>
 #include <coal/parcel/parcelhandler.hpp>
 #include <coal/timing/deadline_timer.hpp>
+#include <coal/trace/tracer.hpp>
 
 #include <array>
 #include <atomic>
@@ -90,6 +103,7 @@ public:
 
     void enqueue(parcel::parcel&& p) override;
     void flush() override;
+    void flush_idle() override;
     [[nodiscard]] std::size_t queued_parcels() const override;
 
     /// Chaos hook: drop every queued parcel without sending it (a crashed
@@ -129,6 +143,12 @@ public:
     [[nodiscard]] std::uint64_t size_flushes() const noexcept
     {
         return size_flushes_.load(std::memory_order_relaxed);
+    }
+
+    /// Queues flushed because their locality went idle (flush_idle).
+    [[nodiscard]] std::uint64_t idle_flushes() const noexcept
+    {
+        return idle_flushes_.load(std::memory_order_relaxed);
     }
 
     /// Parcels that skipped batching because the destination link's
@@ -214,6 +234,10 @@ private:
 
     void on_timer(std::uint32_t route, std::uint64_t epoch);
 
+    /// Detach and send every non-empty queue, tracing each as `kind`;
+    /// returns how many queues it flushed.
+    std::size_t flush_all(trace::event_kind kind);
+
     std::string name_;
     parcel::parcelhandler& parcels_;
     timing::deadline_timer_service& timers_;
@@ -225,6 +249,7 @@ private:
 
     std::atomic<std::uint64_t> timer_flushes_{0};
     std::atomic<std::uint64_t> size_flushes_{0};
+    std::atomic<std::uint64_t> idle_flushes_{0};
     std::atomic<std::uint64_t> breaker_bypasses_{0};
 };
 

@@ -25,6 +25,15 @@ public:
     /// Force-send everything queued (quiesce, shutdown, phase barriers).
     virtual void flush() = 0;
 
+    /// Send everything queued because the locality went idle: no task is
+    /// running that could add to a batch, so waiting for a size or timer
+    /// trigger only adds latency.  Handlers that count flush reasons
+    /// override this; the default is flush().
+    virtual void flush_idle()
+    {
+        flush();
+    }
+
     /// Parcels currently held back (all destinations).
     [[nodiscard]] virtual std::size_t queued_parcels() const = 0;
 };

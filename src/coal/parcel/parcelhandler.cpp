@@ -84,9 +84,11 @@ parcelhandler::parcelhandler(std::uint32_t here, net::transport& transport,
     transport_.set_delivery_handler(
         here, [this](std::uint32_t src, serialization::shared_buffer&& buffer) {
             inbox_.push(inbound_message{src, std::move(buffer)});
+            scheduler_.wake();
         });
 
     scheduler_.register_background_work([this] { return progress(); });
+    scheduler_.register_idle_work([this] { return idle_flush(); });
 }
 
 parcelhandler::~parcelhandler()
@@ -156,7 +158,7 @@ void parcelhandler::put_parcel(parcel&& p)
 
     if (auto handler = message_handler_for(p.action))
     {
-        handler->enqueue(std::move(p));
+        divert(*handler, std::move(p));
         return;
     }
 
@@ -164,6 +166,22 @@ void parcelhandler::put_parcel(parcel&& p)
     std::vector<parcel> single;
     single.push_back(std::move(p));
     send_message(dst, std::move(single));
+}
+
+void parcelhandler::divert(message_handler& handler, parcel&& p)
+{
+    handler.enqueue(std::move(p));
+    scheduler_.request_idle_work();
+}
+
+bool parcelhandler::idle_flush()
+{
+    if (stopped_.load(std::memory_order_acquire) ||
+        crashed_.load(std::memory_order_acquire))
+        return false;
+    for (auto const& h : installed_handlers())
+        h->flush_idle();
+    return true;
 }
 
 void parcelhandler::send_message(
@@ -174,11 +192,19 @@ void parcelhandler::send_message(
     COAL_ASSERT(dst != here_);
 
     if (ticket.stream == 0)
-    {
         outbound_.push(send_job{dst, std::move(parcels)});
-        return;
-    }
+    else
+        release_in_order(dst, std::move(parcels), ticket);
 
+    // Only workers pump progress(): a batch handed over from any other
+    // thread (the timer thread's flush, a put from outside) wakes one.
+    if (!scheduler_.on_worker_thread())
+        scheduler_.wake();
+}
+
+void parcelhandler::release_in_order(
+    std::uint32_t dst, std::vector<parcel>&& parcels, send_ticket ticket)
+{
     // Ticketed hand-off: the producer allocated `seq` under its own queue
     // lock but calls us lock-free, so two batches of one stream can
     // arrive here in either order.  Release to the outbound queue
@@ -227,16 +253,20 @@ std::shared_ptr<message_handler> parcelhandler::message_handler_for(
     return it == handlers_.end() ? nullptr : it->second;
 }
 
-void parcelhandler::flush_message_handlers()
+std::vector<std::shared_ptr<message_handler>>
+parcelhandler::installed_handlers() const
 {
     std::vector<std::shared_ptr<message_handler>> handlers;
-    {
-        std::lock_guard lock(handlers_lock_);
-        handlers.reserve(handlers_.size());
-        for (auto const& [id, h] : handlers_)
-            handlers.push_back(h);
-    }
-    for (auto const& h : handlers)
+    std::lock_guard lock(handlers_lock_);
+    handlers.reserve(handlers_.size());
+    for (auto const& [id, h] : handlers_)
+        handlers.push_back(h);
+    return handlers;
+}
+
+void parcelhandler::flush_message_handlers()
+{
+    for (auto const& h : installed_handlers())
         h->flush();
 }
 
@@ -920,7 +950,7 @@ void parcelhandler::forward_parcel(parcel&& p)
     // destination is on our node, so the handler will not re-relay).
     if (auto handler = message_handler_for(p.action))
     {
-        handler->enqueue(std::move(p));
+        divert(*handler, std::move(p));
         return;
     }
 

@@ -16,6 +16,12 @@
 /// sender cost inside background accounting — and (b) drains up to
 /// `receive_drain_budget` inbox frames per call, paying the receiver cost
 /// per frame.  This is what makes Eq. 3/4 of the paper measurable.
+/// Work that arrives from outside the workers — a transport delivery, a
+/// send from the timer thread or any other non-worker thread — wakes an
+/// idle worker (scheduler::wake) instead of waiting for its next poll.
+/// When the locality goes idle, the scheduler's idle hook (idle_flush)
+/// flushes the message handlers: with no task running, nothing local can
+/// add to a batch before its timer.
 ///
 /// The receive pipeline is *batched*: the background worker never decodes
 /// parcel arguments.  It peeks the O(1) frame prefix (duplicate frames
@@ -252,6 +258,13 @@ public:
 
     /// Flush all installed message handlers (phase end / quiesce).
     void flush_message_handlers();
+
+    /// Idle hook; registered with the locality's scheduler, which runs it
+    /// when none of its workers is running a task and a parcel was
+    /// diverted to a message handler since the last run.  Flushes every
+    /// installed handler (message_handler::flush_idle); returns true when
+    /// it flushed.
+    bool idle_flush();
 
     /// Install the component resolver handed to action invocations
     /// (wired to AGAS by the runtime; component actions need it).  Must be
@@ -651,6 +664,17 @@ private:
     [[nodiscard]] bool peer_dead(std::uint32_t dst) const;
     /// Stamp the membership epochs on an outgoing frame header for `dst`.
     void stamp_epochs_locked(peer_state const& peer, frame_header& hdr) const;
+    /// Snapshot of the installed message handlers, so they are flushed
+    /// outside handlers_lock_.
+    [[nodiscard]] std::vector<std::shared_ptr<message_handler>>
+    installed_handlers() const;
+    /// send_message's sequencer: push a ticketed batch to the outbound
+    /// queue in ticket order, parking it until its predecessors arrive.
+    void release_in_order(
+        std::uint32_t dst, std::vector<parcel>&& parcels, send_ticket ticket);
+    /// Hand a parcel to its action's message handler and arm the
+    /// scheduler's idle hook, which flushes it once the locality idles.
+    void divert(message_handler& handler, parcel&& p);
 
     std::uint32_t here_;
     net::transport& transport_;

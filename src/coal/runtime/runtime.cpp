@@ -282,6 +282,7 @@ void runtime::help_barrier::arrive_and_wait()
     }
 
     auto* sched = threading::scheduler::current();
+    threading::scheduler::help_scope help(sched);
     unsigned idle = 0;
     while (generation.load(std::memory_order_acquire) == gen)
     {
@@ -310,6 +311,7 @@ void runtime::barrier()
         barrier_ticket_.fetch_add(1, std::memory_order_acq_rel);
     std::uint64_t const round = ticket / local_count_ + 1;
     auto* sched = threading::scheduler::current();
+    threading::scheduler::help_scope help(sched);
 
     if (ticket % local_count_ == 0)
     {

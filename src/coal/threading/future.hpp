@@ -9,6 +9,9 @@
 /// scheduler's `run_pending_task()` (help-while-wait), so a one-worker
 /// locality can wait for results whose delivery requires more local
 /// progress (receiving the response parcel is itself background work).
+/// The wait runs inside a `scheduler::help_scope`, so a waiting worker
+/// with nothing to help with counts as idle and the scheduler's idle
+/// hooks can flush the requests it is waiting on.
 ///
 /// Continuations attached with `then()` run inline on the thread that
 /// fulfils the promise (the parcel-processing task), matching HPX's
@@ -103,7 +106,10 @@ public:
             // Help-while-wait: keep the worker productive and, more
             // importantly, keep background (network) progress alive.
             // When there is nothing to help with, back off to a yield so
-            // the network/timer threads get CPU on small machines.
+            // the network/timer threads get CPU on small machines.  Inside
+            // the help scope an empty spin counts the worker idle, which
+            // lets the locality's idle hooks flush what this task queued.
+            scheduler::help_scope help(sched);
             unsigned idle = 0;
             while (!is_ready())
             {
@@ -137,6 +143,7 @@ public:
 
         if (scheduler* sched = scheduler::current())
         {
+            scheduler::help_scope help(sched);
             unsigned idle = 0;
             while (!is_ready())
             {

@@ -15,6 +15,8 @@ struct worker_context
 {
     scheduler* owner = nullptr;
     std::size_t index = 0;
+    bool idle = false;        ///< counted out of the owner's active_
+    unsigned helping = 0;     ///< nesting depth of help_scope
 };
 
 thread_local worker_context t_worker;
@@ -30,6 +32,7 @@ scheduler::scheduler(scheduler_config config)
 {
     COAL_ASSERT_MSG(config_.num_workers > 0, "scheduler needs >= 1 worker");
 
+    active_.store(config_.num_workers, std::memory_order_relaxed);
     queues_.reserve(config_.num_workers);
     for (unsigned i = 0; i != config_.num_workers; ++i)
         queues_.push_back(std::make_unique<worker_queue>());
@@ -65,7 +68,7 @@ void scheduler::post(task_type task)
         std::lock_guard lock(queues_[index]->lock);
         queues_[index]->tasks.push_back(std::move(task));
     }
-    wake_cv_.notify_one();
+    wake_n(1);
 }
 
 void scheduler::post_n(std::vector<task_type>&& tasks)
@@ -117,6 +120,21 @@ void scheduler::post_n(std::vector<task_type>&& tasks)
     }
     tasks.clear();
 
+    wake_n(n);
+}
+
+void scheduler::wake_n(std::size_t n)
+{
+    // Pairs with sleep_until_woken(): the bump and the sleeper count are
+    // both seq_cst, so either this thread sees the sleeper or the sleeper
+    // sees the bump before it blocks.  Passing through the mutex orders
+    // the notify after a sleeper caught between its check and its wait.
+    wake_seq_.fetch_add(1, std::memory_order_seq_cst);
+    if (sleepers_.load(std::memory_order_seq_cst) == 0)
+        return;
+    {
+        std::lock_guard lock(wake_mutex_);
+    }
     // Wake only as many sleeping workers as there are tasks to run; a
     // full notify_all for a two-task batch would stampede every idle
     // worker through its steal loop for nothing.
@@ -129,6 +147,18 @@ void scheduler::post_n(std::vector<task_type>&& tasks)
         for (std::size_t i = 0; i != n; ++i)
             wake_cv_.notify_one();
     }
+}
+
+void scheduler::sleep_until_woken(std::uint64_t seen)
+{
+    std::unique_lock lock(wake_mutex_);
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    wake_cv_.wait_for(lock, std::chrono::microseconds(config_.idle_sleep_us),
+        [&] {
+            return wake_seq_.load(std::memory_order_seq_cst) != seen ||
+                stopping_.load(std::memory_order_acquire);
+        });
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 bool scheduler::try_pop(std::size_t index, task_type& out)
@@ -184,29 +214,35 @@ void scheduler::execute(task_type task, worker_counters& counters)
         idle_cv_.notify_all();
 }
 
-bool scheduler::do_background_work(worker_counters* counters)
+scheduler::hook_set const& scheduler::hooks()
 {
     // Hooks are registered once at startup but polled once per task, so
     // each thread keeps a cached snapshot refreshed on version change.
-    thread_local std::vector<background_fn> hooks;
-    thread_local std::uint64_t hooks_version = ~std::uint64_t{0};
-    thread_local std::uint64_t hooks_owner = 0;
+    thread_local hook_set cached;
+    thread_local std::uint64_t cached_version = ~std::uint64_t{0};
+    thread_local std::uint64_t cached_owner = 0;
 
     std::uint64_t const version =
-        background_version_.load(std::memory_order_acquire);
-    if (hooks_version != version || hooks_owner != uid_)
+        hooks_version_.load(std::memory_order_acquire);
+    if (cached_version != version || cached_owner != uid_)
     {
-        std::lock_guard lock(background_lock_);
-        hooks = background_;
-        hooks_version = version;
-        hooks_owner = uid_;
+        std::lock_guard lock(hooks_lock_);
+        cached = hooks_;
+        cached_version = version;
+        cached_owner = uid_;
     }
-    if (hooks.empty())
+    return cached;
+}
+
+bool scheduler::do_background_work(worker_counters* counters)
+{
+    auto const& background = hooks().background;
+    if (background.empty())
         return false;
 
     std::int64_t const t_start = now_ns();
     bool made_progress = false;
-    for (auto const& hook : hooks)
+    for (auto const& hook : background)
     {
         if (hook())
             made_progress = true;
@@ -237,18 +273,61 @@ bool scheduler::do_background_work(worker_counters* counters)
     return made_progress;
 }
 
+void scheduler::mark_idle() noexcept
+{
+    if (t_worker.idle)
+        return;
+    t_worker.idle = true;
+    active_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+void scheduler::mark_active() noexcept
+{
+    if (!t_worker.idle)
+        return;
+    t_worker.idle = false;
+    active_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+bool scheduler::do_idle_work()
+{
+    if (!idle_work_due_.load(std::memory_order_relaxed))
+        return false;
+    // Locality-idle, not worker-idle: the hooks flush queues that every
+    // worker fills, so while a sibling still runs a task it may yet add
+    // to a batch.  The last worker to go idle reads 0 here.  The flag
+    // stays armed until a worker that saw 0 takes it.
+    if (active_.load(std::memory_order_relaxed) != 0 ||
+        !idle_work_due_.exchange(false, std::memory_order_acq_rel))
+        return false;
+    bool made_work = false;
+    for (auto const& hook : hooks().idle)
+    {
+        if (hook())
+            made_work = true;
+    }
+    return made_work;
+}
+
 void scheduler::worker_loop(std::size_t index)
 {
     t_worker.owner = this;
     t_worker.index = index;
+    t_worker.idle = false;
+    t_worker.helping = 0;
 
     auto& counters = instrumentation_.worker(index);
 
     while (!stopping_.load(std::memory_order_acquire))
     {
+        // Read before looking for work: a post that lands after the
+        // search moves the sequence past this, so the sleep returns.
+        std::uint64_t const seen = wake_seq_.load(std::memory_order_seq_cst);
+
         task_type task;
         if (try_pop(index, task))
         {
+            mark_active();
             execute(std::move(task), counters);
             // Poll the network once per task so send queues drain even
             // under a task flood.
@@ -257,22 +336,20 @@ void scheduler::worker_loop(std::size_t index)
         }
         if (try_steal(index, task))
         {
+            mark_active();
             counters.tasks_stolen.fetch_add(1, std::memory_order_relaxed);
             execute(std::move(task), counters);
             do_background_work(&counters);
             continue;
         }
 
-        // No tasks: make background progress; if even that was idle,
-        // sleep briefly (woken early by post()).
-        bool const progressed = do_background_work(&counters);
-        if (!progressed)
-        {
-            counters.idle_loops.fetch_add(1, std::memory_order_relaxed);
-            std::unique_lock lock(wake_mutex_);
-            wake_cv_.wait_for(
-                lock, std::chrono::microseconds(config_.idle_sleep_us));
-        }
+        // No tasks: make background progress; if that was idle too, run
+        // the idle hooks, and sleep only if they made no work either.
+        mark_idle();
+        if (do_background_work(&counters) || do_idle_work())
+            continue;
+        counters.idle_loops.fetch_add(1, std::memory_order_relaxed);
+        sleep_until_woken(seen);
     }
 
     // Drain phase: finish whatever is still queued (stop() guarantees no
@@ -305,6 +382,7 @@ bool scheduler::run_pending_task()
         {
             if (counters != nullptr)
             {
+                mark_active();
                 execute(std::move(task), *counters);
             }
             else
@@ -318,16 +396,59 @@ bool scheduler::run_pending_task()
             return true;
         }
     }
-    return do_background_work(counters);
+    // A helping worker that finds nothing is idle: its task is blocked on
+    // the wait, so it adds nothing to a batch until the wait ends.
+    bool const helping = counters != nullptr && t_worker.helping != 0;
+    if (helping)
+        mark_idle();
+    if (do_background_work(counters))
+        return true;
+    return helping && do_idle_work();
 }
 
 void scheduler::register_background_work(background_fn fn)
 {
     {
-        std::lock_guard lock(background_lock_);
-        background_.push_back(std::move(fn));
+        std::lock_guard lock(hooks_lock_);
+        hooks_.background.push_back(std::move(fn));
     }
-    background_version_.fetch_add(1, std::memory_order_release);
+    hooks_version_.fetch_add(1, std::memory_order_release);
+}
+
+void scheduler::register_idle_work(background_fn fn)
+{
+    {
+        std::lock_guard lock(hooks_lock_);
+        hooks_.idle.push_back(std::move(fn));
+    }
+    hooks_version_.fetch_add(1, std::memory_order_release);
+}
+
+void scheduler::request_idle_work()
+{
+    // Set after the caller queued its work: the worker that clears the
+    // flag then finds that work.  Loaded first so a flood of requests
+    // only reads the shared line.
+    if (!idle_work_due_.load(std::memory_order_relaxed))
+        idle_work_due_.store(true, std::memory_order_release);
+    if (t_worker.owner != this)
+        wake_n(1);
+}
+
+scheduler::help_scope::help_scope(scheduler* sched) noexcept
+  : sched_(sched != nullptr && t_worker.owner == sched ? sched : nullptr)
+{
+    if (sched_ != nullptr)
+        ++t_worker.helping;
+}
+
+scheduler::help_scope::~help_scope()
+{
+    if (sched_ == nullptr)
+        return;
+    --t_worker.helping;
+    // Back to the waiting task, which may produce again.
+    sched_->mark_active();
 }
 
 void scheduler::wait_idle()
@@ -356,7 +477,7 @@ void scheduler::stop()
         return;
     }
 
-    wake_cv_.notify_all();
+    wake_n(workers_.size());
     for (auto& w : workers_)
     {
         if (w.joinable())

@@ -90,6 +90,8 @@ char const* to_string(event_kind kind) noexcept
         return "flush-size";
     case event_kind::flush_timeout:
         return "flush-timeout";
+    case event_kind::flush_idle:
+        return "flush-idle";
     case event_kind::flush_forced:
         return "flush-forced";
     case event_kind::message_sent:

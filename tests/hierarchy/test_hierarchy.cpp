@@ -234,10 +234,13 @@ TEST(Hierarchy, NodePairBufferBatchesEightTimesBaseNparcels)
     // The inter-node tier batches nparcels x 8 under the base interval,
     // and follows live parameter updates (the adaptive tuner's path).
     // The sparse bypass and the flush timer are kept out of the way so
-    // only the size threshold can flush.
+    // only the size threshold can flush.  So is the idle flush: one of
+    // locality 0's two workers runs a blocker task throughout, so the
+    // locality never goes idle, and the other worker sends the batches.
     reset_marks();
     auto cfg = hier_config();
     cfg.reliability.enabled = false;
+    cfg.workers_per_locality = 2;
     coal::runtime rt(cfg);
     coal::coalescing::coalescing_params params;
     params.nparcels = 4;
@@ -247,6 +250,15 @@ TEST(Hierarchy, NodePairBufferBatchesEightTimesBaseNparcels)
 
     auto& here = rt.get_locality(0);
     auto const& c = here.parcels().counters();
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    here.post([&] {
+        started = true;
+        while (!release)
+            std::this_thread::yield();
+    });
+    while (!started)
+        std::this_thread::yield();
     std::uint32_t tag = 0;
     // Spread over every member of node 1 {3,4,5}: one node-pair buffer.
     auto send_cross_node = [&](std::uint32_t count) {
@@ -280,6 +292,7 @@ TEST(Hierarchy, NodePairBufferBatchesEightTimesBaseNparcels)
     EXPECT_TRUE(inter_messages_reach(2));
     EXPECT_EQ(c.messages_intra_node.load(), 0u);
 
+    release = true;
     rt.quiesce();
     for (std::uint32_t d = 3; d != 6; ++d)
         EXPECT_EQ(g_exec[0 * hier_n + d].load(), 16u) << d;

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 namespace {
 
@@ -235,6 +237,19 @@ TEST(Parcelhandler, MessageHandlerDivertsAndBatches)
     auto handler = std::make_shared<batching_handler>(h.ph0);
     h.ph0.set_message_handler(ph_double_action::id(), handler);
 
+    // Keep ph0's only worker busy while parcels are held: an idle
+    // locality flushes its handlers (parcelhandler::idle_flush), which
+    // would send them before the assertions below can see them queued.
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    h.sched0.post([&] {
+        started = true;
+        while (!release)
+            std::this_thread::yield();
+    });
+    while (!started)
+        std::this_thread::yield();
+
     g_ph_sum = 0;
     for (int i = 0; i != 10; ++i)
         h.ph0.put_parcel(make_request(1, 1, 0));
@@ -245,6 +260,7 @@ TEST(Parcelhandler, MessageHandlerDivertsAndBatches)
     EXPECT_EQ(h.transport.stats().messages_sent, 0u);
 
     h.ph0.flush_message_handlers();
+    release = true;
     h.settle();
 
     EXPECT_EQ(g_ph_sum.load(), 10);

@@ -110,8 +110,9 @@ TEST(EndToEnd, CoalescingReducesWireMessages)
 TEST(EndToEnd, TimeoutFlushesFinalPartialBatch)
 {
     runtime rt(loopback());
-    // Batches of 1000 never fill with 10 parcels; only the flush timer
-    // (50 ms) can deliver them.
+    // Batches of 1000 never fill with 10 parcels.  The waiting task
+    // leaves each locality idle, so an idle flush sends them; the flush
+    // timer (50 ms) is the fallback.
     rt.enable_coalescing("e2e_inc_action", {1000, 50000});
     long long const checksum = burst(rt, 10);
     EXPECT_EQ(checksum, 55);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 namespace {
@@ -94,6 +95,8 @@ TEST(FailureInjection, TinyMaxBufferFlushesConstantly)
 
 TEST(FailureInjection, HugeNparcelsReliesOnTimeoutOnly)
 {
+    // The size trigger can never fire: batches leave on the flush timer,
+    // or on an idle flush once the waiting task leaves a locality idle.
     runtime rt(loopback());
     rt.enable_coalescing("fi_echo_action", {1u << 20, 2000});
     burst(rt, 100);
@@ -104,14 +107,28 @@ TEST(FailureInjection, StopWithParcelsStuckInCoalescingQueues)
 {
     runtime rt(loopback());
     // Fire-and-forget parcels that sit in the queue (no future waits on
-    // them); stop() must flush and drain rather than hang or leak.
+    // them); stop() must flush and drain rather than hang or leak.  The
+    // sending task stays busy until the queue empties, so locality 0
+    // never goes idle (an idle locality flushes its own queues) and only
+    // stop()'s quiesce can flush it.  The spin gives up after 10 s so a
+    // stop() that never flushes fails below instead of hanging.
     rt.enable_coalescing("fi_echo_action", {1000, 60000000});
-    rt.run_on(0, [](locality& here) {
-        auto const other = here.find_remote_localities().front();
+    std::atomic<bool> issued{false};
+    locality& zero = rt.get_locality(0u);
+    zero.post([&] {
+        auto const other = zero.find_remote_localities().front();
         for (int i = 0; i != 37; ++i)
-            here.apply<fi_echo_action>(other, i);
+            zero.apply<fi_echo_action>(other, i);
+        issued = true;
+        auto const deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (zero.coalescing().queued_parcels() != 0 &&
+            std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
     });
-    EXPECT_GT(rt.get_locality(0u).coalescing().queued_parcels(), 0u);
+    while (!issued)
+        std::this_thread::yield();
+    EXPECT_GT(zero.coalescing().queued_parcels(), 0u);
     rt.stop();
     // All flushed and executed during quiesce.
     EXPECT_EQ(
