@@ -214,35 +214,29 @@ void scheduler::execute(task_type task, worker_counters& counters)
         idle_cv_.notify_all();
 }
 
-scheduler::hook_set const& scheduler::hooks()
+bool scheduler::do_background_work(worker_counters* counters)
 {
     // Hooks are registered once at startup but polled once per task, so
     // each thread keeps a cached snapshot refreshed on version change.
-    thread_local hook_set cached;
-    thread_local std::uint64_t cached_version = ~std::uint64_t{0};
-    thread_local std::uint64_t cached_owner = 0;
+    thread_local std::vector<background_fn> hooks;
+    thread_local std::uint64_t hooks_version = ~std::uint64_t{0};
+    thread_local std::uint64_t hooks_owner = 0;
 
     std::uint64_t const version =
-        hooks_version_.load(std::memory_order_acquire);
-    if (cached_version != version || cached_owner != uid_)
+        background_version_.load(std::memory_order_acquire);
+    if (hooks_version != version || hooks_owner != uid_)
     {
-        std::lock_guard lock(hooks_lock_);
-        cached = hooks_;
-        cached_version = version;
-        cached_owner = uid_;
+        std::lock_guard lock(background_lock_);
+        hooks = background_;
+        hooks_version = version;
+        hooks_owner = uid_;
     }
-    return cached;
-}
-
-bool scheduler::do_background_work(worker_counters* counters)
-{
-    auto const& background = hooks().background;
-    if (background.empty())
+    if (hooks.empty())
         return false;
 
     std::int64_t const t_start = now_ns();
     bool made_progress = false;
-    for (auto const& hook : background)
+    for (auto const& hook : hooks)
     {
         if (hook())
             made_progress = true;
@@ -300,8 +294,16 @@ bool scheduler::do_idle_work()
     if (active_.load(std::memory_order_relaxed) != 0 ||
         !idle_work_due_.exchange(false, std::memory_order_acq_rel))
         return false;
+    // Copied under the lock, called outside it.  This runs once per
+    // armed idle period, not per spin, so the copy is cheap enough; the
+    // per-thread cache stays for the per-task background hooks.
+    std::vector<background_fn> idle;
+    {
+        std::lock_guard lock(background_lock_);
+        idle = idle_hooks_;
+    }
     bool made_work = false;
-    for (auto const& hook : hooks().idle)
+    for (auto const& hook : idle)
     {
         if (hook())
             made_work = true;
@@ -409,19 +411,16 @@ bool scheduler::run_pending_task()
 void scheduler::register_background_work(background_fn fn)
 {
     {
-        std::lock_guard lock(hooks_lock_);
-        hooks_.background.push_back(std::move(fn));
+        std::lock_guard lock(background_lock_);
+        background_.push_back(std::move(fn));
     }
-    hooks_version_.fetch_add(1, std::memory_order_release);
+    background_version_.fetch_add(1, std::memory_order_release);
 }
 
 void scheduler::register_idle_work(background_fn fn)
 {
-    {
-        std::lock_guard lock(hooks_lock_);
-        hooks_.idle.push_back(std::move(fn));
-    }
-    hooks_version_.fetch_add(1, std::memory_order_release);
+    std::lock_guard lock(background_lock_);
+    idle_hooks_.push_back(std::move(fn));
 }
 
 void scheduler::request_idle_work()

@@ -209,14 +209,6 @@ private:
     /// idle_sleep_us elapses.
     void sleep_until_woken(std::uint64_t seen);
 
-    /// Per-thread snapshot of the registered hooks.
-    struct hook_set
-    {
-        std::vector<background_fn> background;
-        std::vector<background_fn> idle;
-    };
-    hook_set const& hooks();
-
     scheduler_config config_;
     std::uint64_t const uid_;    ///< process-unique (cache invalidation)
     instrumentation instrumentation_;
@@ -224,9 +216,11 @@ private:
     std::vector<std::unique_ptr<worker_queue>> queues_;
     std::atomic<std::size_t> next_queue_{0};
 
-    hook_set hooks_;
-    std::atomic<std::uint64_t> hooks_version_{0};
-    mutable spinlock hooks_lock_;
+    std::vector<background_fn> background_;
+    std::atomic<std::uint64_t> background_version_{0};
+    mutable spinlock background_lock_;
+    /// Idle hooks, guarded by background_lock_; read only when armed.
+    std::vector<background_fn> idle_hooks_;
 
     /// Workers not currently idle; every worker starts active.
     std::atomic<unsigned> active_;
