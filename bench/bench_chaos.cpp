@@ -66,7 +66,6 @@ coal::runtime_config chaos_config(std::uint64_t seed)
     cfg.workers_per_locality = 1;    // keep thread count sane on small boxes
     cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
-    cfg.idle_sleep_us = 50;
 
     cfg.faults.seed = seed;
 

@@ -214,7 +214,6 @@ void run_row(std::uint32_t peers, std::uint32_t traffic_mult, double zipf_s,
     ack_echo_transport transport(peers);
     scheduler_config cfg;
     cfg.num_workers = 2;
-    cfg.idle_sleep_us = 20;
     scheduler sched(cfg);
 
     reliability_params rel;

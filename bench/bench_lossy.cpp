@@ -165,7 +165,6 @@ overload_measurement measure_overload(std::uint64_t offered)
 
     coal::threading::scheduler_config scfg;
     scfg.num_workers = 2;
-    scfg.idle_sleep_us = 50;
     coal::threading::scheduler sched0(scfg), sched1(scfg);
 
     reliability_params rel;

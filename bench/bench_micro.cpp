@@ -542,36 +542,54 @@ double run_batched_receive(
 double run_legacy_receive(
     unsigned workers, std::size_t batch, std::size_t total)
 {
+    // Full decode on the background worker, then one task per parcel.
+    // The inbox wakes nobody, so idle workers poll it every 100 us.
+    struct legacy_receive final : coal::threading::progress_hook
+    {
+        coal::threading::scheduler* sched = nullptr;
+        coal::mpmc_queue<coal::serialization::shared_buffer> inbox;
+
+        bool progress() override
+        {
+            auto msg = inbox.try_pop();
+            if (!msg)
+                return false;
+            auto parcels = coal::parcel::decode_message(*msg);
+            for (auto& p : parcels)
+            {
+                sched->post([parcel = std::move(p)]() mutable {
+                    // Fresh per-parcel invocation context, as the old
+                    // execute_parcel built.
+                    coal::parcel::invocation_context ctx;
+                    ctx.this_locality = 0;
+                    ctx.put_parcel = [](coal::parcel::parcel&&) {};
+                    ctx.complete_promise =
+                        [](coal::parcel::continuation_id,
+                            coal::serialization::shared_buffer&&) {};
+                    auto const* entry =
+                        coal::parcel::action_registry::instance().find(
+                            parcel.action);
+                    entry->invoke(ctx, std::move(parcel));
+                });
+            }
+            return true;
+        }
+        bool idle_flush() override
+        {
+            return false;
+        }
+        std::int64_t max_idle_sleep_ns() const override
+        {
+            return 100'000;
+        }
+    } hook;
+
     coal::threading::scheduler_config cfg;
     cfg.num_workers = workers;
     coal::threading::scheduler sched(cfg);
-    coal::mpmc_queue<coal::serialization::shared_buffer> inbox;
-
-    sched.register_background_work([&sched, &inbox] {
-        auto msg = inbox.try_pop();
-        if (!msg)
-            return false;
-        // Full decode on the background worker, then one task per parcel.
-        auto parcels = coal::parcel::decode_message(*msg);
-        for (auto& p : parcels)
-        {
-            sched.post([parcel = std::move(p)]() mutable {
-                // Fresh per-parcel invocation context, as the old
-                // execute_parcel built.
-                coal::parcel::invocation_context ctx;
-                ctx.this_locality = 0;
-                ctx.put_parcel = [](coal::parcel::parcel&&) {};
-                ctx.complete_promise =
-                    [](coal::parcel::continuation_id,
-                        coal::serialization::shared_buffer&&) {};
-                auto const* entry =
-                    coal::parcel::action_registry::instance().find(
-                        parcel.action);
-                entry->invoke(ctx, std::move(parcel));
-            });
-        }
-        return true;
-    });
+    hook.sched = &sched;
+    sched.install_progress(&hook);
+    auto& inbox = hook.inbox;
 
     auto const flat =
         coal::parcel::encode_message(make_sink_parcels(batch)).flatten_copy();

@@ -1,13 +1,11 @@
 #include <coal/collectives/collectives.hpp>
 
-#include <coal/common/spinlock.hpp>
 #include <coal/parcel/action.hpp>
 #include <coal/threading/scheduler.hpp>
 
 #include <condition_variable>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <tuple>
 
 namespace coal::collectives {
@@ -93,30 +91,15 @@ namespace detail {
 serialization::shared_buffer retrieve(
     std::uint32_t dest, std::uint64_t tag, std::uint32_t src)
 {
+    // Help-while-wait: the deposit we need may be a task queued on this
+    // very worker (or require network progress it performs).
     auto& store = mailbox_store::instance();
-    threading::scheduler::help_scope help(threading::scheduler::current());
-    unsigned idle = 0;
-    for (;;)
-    {
-        if (auto bytes = store.try_take(dest, tag, src))
-            return std::move(*bytes);
-
-        // Help-while-wait: the deposit we need may be a task queued on
-        // this very worker (or require network progress it performs).
-        if (auto* sched = threading::scheduler::current();
-            sched != nullptr && sched->run_pending_task())
-        {
-            idle = 0;
-        }
-        else if (++idle < 64)
-        {
-            cpu_relax();
-        }
-        else
-        {
-            std::this_thread::yield();
-        }
-    }
+    std::optional<serialization::shared_buffer> bytes;
+    threading::scheduler::help_until([&] {
+        bytes = store.try_take(dest, tag, src);
+        return bytes.has_value();
+    });
+    return std::move(*bytes);
 }
 
 void send_to(locality& here, agas::locality_id dest, std::uint64_t tag,

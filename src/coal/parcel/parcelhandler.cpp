@@ -87,13 +87,13 @@ parcelhandler::parcelhandler(std::uint32_t here, net::transport& transport,
             scheduler_.wake();
         });
 
-    scheduler_.register_background_work([this] { return progress(); });
-    scheduler_.register_idle_work([this] { return idle_flush(); });
+    scheduler_.install_progress(this);
 }
 
 parcelhandler::~parcelhandler()
 {
     stop();
+    scheduler_.install_progress(nullptr);
 }
 
 void parcelhandler::put_parcel(parcel&& p)
@@ -2369,6 +2369,12 @@ void parcelhandler::stop()
         return;
     outbound_.close();
     inbox_.close();
+    while (outbound_.try_pop())
+    {
+    }
+    while (inbox_.try_pop())
+    {
+    }
 }
 
 }    // namespace coal::parcel

@@ -19,9 +19,11 @@
 /// Work that arrives from outside the workers — a transport delivery, a
 /// send from the timer thread or any other non-worker thread — wakes an
 /// idle worker (scheduler::wake) instead of waiting for its next poll.
-/// When the locality goes idle, the scheduler's idle hook (idle_flush)
+/// When the locality goes idle, the scheduler runs idle_flush(), which
 /// flushes the message handlers: with no task running, nothing local can
-/// add to a batch before its timer.
+/// add to a batch before its timer.  The parcelhandler is its scheduler's
+/// progress_hook; an idle worker sleeps until woken, or at most one
+/// due_ring tick when the reliability layer has deadlines to service.
 ///
 /// The receive pipeline is *batched*: the background worker never decodes
 /// parcel arguments.  It peeks the O(1) frame prefix (duplicate frames
@@ -203,7 +205,7 @@ struct send_ticket
     std::uint64_t seq = 0;       ///< consecutive from 0 within a stream
 };
 
-class parcelhandler
+class parcelhandler final : public threading::progress_hook
 {
 public:
     /// Callback surfacing parcels the flow-control layer refused to
@@ -259,12 +261,11 @@ public:
     /// Flush all installed message handlers (phase end / quiesce).
     void flush_message_handlers();
 
-    /// Idle hook; registered with the locality's scheduler, which runs it
-    /// when none of its workers is running a task and a parcel was
-    /// diverted to a message handler since the last run.  Flushes every
-    /// installed handler (message_handler::flush_idle); returns true when
-    /// it flushed.
-    bool idle_flush();
+    /// Run by the locality's scheduler when none of its workers is
+    /// running a task and a parcel was diverted to a message handler since
+    /// the last run.  Flushes every installed handler
+    /// (message_handler::flush_idle); returns true when it flushed.
+    bool idle_flush() override;
 
     /// Install the component resolver handed to action invocations
     /// (wired to AGAS by the runtime; component actions need it).  Must be
@@ -315,9 +316,19 @@ public:
     /// Number of response callbacks still outstanding.
     [[nodiscard]] std::size_t pending_responses() const;
 
-    /// Background work hook; registered with the locality's scheduler.
+    /// Background work, run by the locality's scheduler between tasks.
     /// Returns true when it made progress.
-    bool progress();
+    bool progress() override;
+
+    /// Deliveries, posts, off-worker sends and timer flushes all wake a
+    /// worker, so with reliability off an idle worker sleeps until woken.
+    /// With it on, RTO, delayed-ack, heartbeat and defer deadlines are
+    /// filed in the due ring at tick granularity, so one tick bounds the
+    /// sleep.
+    [[nodiscard]] std::int64_t max_idle_sleep_ns() const override
+    {
+        return reliability_.enabled ? due_ring::tick_ns : 0;
+    }
 
     [[nodiscard]] parcelhandler_counters const& counters() const noexcept
     {
@@ -496,7 +507,9 @@ public:
     /// destroyed outside the parcelhandler, e.g. in coalescing queues.
     void fail_parcels(delivery_error err, std::vector<parcel>&& parcels);
 
-    /// Stop accepting traffic (queues close; progress drains nothing new).
+    /// Stop accepting traffic: queues close, progress drains nothing new,
+    /// and whatever is still queued is released (a frame that arrived
+    /// after the last quiesce would otherwise pin its pool slab).
     void stop();
 
 private:
@@ -673,7 +686,7 @@ private:
     void release_in_order(
         std::uint32_t dst, std::vector<parcel>&& parcels, send_ticket ticket);
     /// Hand a parcel to its action's message handler and arm the
-    /// scheduler's idle hook, which flushes it once the locality idles.
+    /// scheduler's idle_flush(), which flushes it once the locality idles.
     void divert(message_handler& handler, parcel&& p);
 
     std::uint32_t here_;

@@ -130,7 +130,6 @@ runtime::runtime(runtime_config config)
     {
         threading::scheduler_config sched;
         sched.num_workers = config_.workers_per_locality;
-        sched.idle_sleep_us = config_.idle_sleep_us;
         sched.name = "locality#" + std::to_string(i);
         localities_.push_back(std::make_unique<locality>(*this,
             agas::locality_id{i}, sched, *transport_, *timers_,
@@ -281,20 +280,11 @@ void runtime::help_barrier::arrive_and_wait()
         return;
     }
 
-    auto* sched = threading::scheduler::current();
-    threading::scheduler::help_scope help(sched);
-    unsigned idle = 0;
-    while (generation.load(std::memory_order_acquire) == gen)
-    {
-        // Keep local progress alive while parked at the barrier — other
-        // localities may still need our responses to arrive there.
-        if (sched != nullptr && sched->run_pending_task())
-            idle = 0;
-        else if (++idle < 64)
-            cpu_relax();
-        else
-            std::this_thread::yield();
-    }
+    // Keep local progress alive while parked at the barrier — other
+    // localities may still need our responses to arrive there.
+    threading::scheduler::help_until([&] {
+        return generation.load(std::memory_order_acquire) != gen;
+    });
 }
 
 void runtime::barrier()
@@ -310,17 +300,12 @@ void runtime::barrier()
     std::uint64_t const ticket =
         barrier_ticket_.fetch_add(1, std::memory_order_acq_rel);
     std::uint64_t const round = ticket / local_count_ + 1;
-    auto* sched = threading::scheduler::current();
-    threading::scheduler::help_scope help(sched);
 
     if (ticket % local_count_ == 0)
     {
         std::uint64_t const token = socket_transport_->enter_barrier();
-        while (!socket_transport_->barrier_done(token))
-        {
-            if (sched == nullptr || !sched->run_pending_task())
-                std::this_thread::yield();
-        }
+        threading::scheduler::help_until(
+            [&] { return socket_transport_->barrier_done(token); });
         // Publish monotonically: a slow leader of an earlier round must
         // never regress the round stamp.
         std::uint64_t cur =
@@ -332,11 +317,10 @@ void runtime::barrier()
     }
     else
     {
-        while (wire_barrier_round_.load(std::memory_order_acquire) < round)
-        {
-            if (sched == nullptr || !sched->run_pending_task())
-                std::this_thread::yield();
-        }
+        threading::scheduler::help_until([&] {
+            return wire_barrier_round_.load(std::memory_order_acquire) >=
+                round;
+        });
     }
 }
 

@@ -81,11 +81,6 @@ struct runtime_config
     /// Install sibling handlers on response actions (DESIGN.md §2).
     bool coalesce_responses = true;
 
-    /// Longest sleep of an idle worker (µs): the polling period for
-    /// reliability deadlines.  Deliveries and posts wake workers at once
-    /// (scheduler_config::idle_sleep_us).
-    std::int64_t idle_sleep_us = 100;
-
     /// Fault injection: when the plan is active the transport is wrapped
     /// in a faulty_transport and the reliability layer is forced on.
     net::fault_plan faults{};

@@ -5,13 +5,12 @@
 /// objects).  Every remote action invocation returns one of these.
 ///
 /// The key property for a task-based runtime: `wait()` on a worker thread
-/// does not block the OS thread.  It calls back into the owning
-/// scheduler's `run_pending_task()` (help-while-wait), so a one-worker
-/// locality can wait for results whose delivery requires more local
-/// progress (receiving the response parcel is itself background work).
-/// The wait runs inside a `scheduler::help_scope`, so a waiting worker
-/// with nothing to help with counts as idle and the scheduler's idle
-/// hooks can flush the requests it is waiting on.
+/// does not block the OS thread.  It helps its scheduler instead
+/// (`scheduler::help_until`), so a one-worker locality can wait for
+/// results whose delivery requires more local progress (receiving the
+/// response parcel is itself background work), and a waiting worker with
+/// nothing to help with counts as idle, so the idle flush can send the
+/// requests it is waiting on.
 ///
 /// Continuations attached with `then()` run inline on the thread that
 /// fulfils the promise (the parcel-processing task), matching HPX's
@@ -28,7 +27,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -101,31 +99,9 @@ public:
         if (is_ready())
             return;
 
-        if (scheduler* sched = scheduler::current())
+        if (scheduler::current() != nullptr)
         {
-            // Help-while-wait: keep the worker productive and, more
-            // importantly, keep background (network) progress alive.
-            // When there is nothing to help with, back off to a yield so
-            // the network/timer threads get CPU on small machines.  Inside
-            // the help scope an empty spin counts the worker idle, which
-            // lets the locality's idle hooks flush what this task queued.
-            scheduler::help_scope help(sched);
-            unsigned idle = 0;
-            while (!is_ready())
-            {
-                if (sched->run_pending_task())
-                {
-                    idle = 0;
-                }
-                else if (++idle < 64)
-                {
-                    cpu_relax();
-                }
-                else
-                {
-                    std::this_thread::yield();
-                }
-            }
+            scheduler::help_until([this] { return is_ready(); });
             return;
         }
 
@@ -141,22 +117,10 @@ public:
         auto const deadline = std::chrono::steady_clock::now() +
             std::chrono::microseconds(timeout_us);
 
-        if (scheduler* sched = scheduler::current())
+        if (scheduler::current() != nullptr)
         {
-            scheduler::help_scope help(sched);
-            unsigned idle = 0;
-            while (!is_ready())
-            {
-                if (std::chrono::steady_clock::now() >= deadline)
-                    return is_ready();
-                if (sched->run_pending_task())
-                    idle = 0;
-                else if (++idle < 64)
-                    cpu_relax();
-                else
-                    std::this_thread::yield();
-            }
-            return true;
+            return scheduler::help_until(
+                [this] { return is_ready(); }, deadline);
         }
 
         std::unique_lock lock(mutex_);

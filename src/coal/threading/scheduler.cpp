@@ -21,13 +21,10 @@ struct worker_context
 
 thread_local worker_context t_worker;
 
-std::atomic<std::uint64_t> g_scheduler_uid{1};
-
 }    // namespace
 
 scheduler::scheduler(scheduler_config config)
   : config_(config)
-  , uid_(g_scheduler_uid.fetch_add(1, std::memory_order_relaxed))
   , instrumentation_(config.num_workers == 0 ? 1 : config.num_workers)
 {
     COAL_ASSERT_MSG(config_.num_workers > 0, "scheduler needs >= 1 worker");
@@ -149,15 +146,22 @@ void scheduler::wake_n(std::size_t n)
     }
 }
 
-void scheduler::sleep_until_woken(std::uint64_t seen)
+void scheduler::sleep_until_woken(std::uint64_t seen, bool warm)
 {
+    progress_hook const* const hook = hook_.load(std::memory_order_acquire);
+    std::int64_t max_ns = hook != nullptr ? hook->max_idle_sleep_ns() : 0;
+    if (warm && (max_ns == 0 || max_ns > warm_poll_ns))
+        max_ns = warm_poll_ns;
+    auto const woken = [&] {
+        return wake_seq_.load(std::memory_order_seq_cst) != seen ||
+            stopping_.load(std::memory_order_acquire);
+    };
     std::unique_lock lock(wake_mutex_);
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    wake_cv_.wait_for(lock, std::chrono::microseconds(config_.idle_sleep_us),
-        [&] {
-            return wake_seq_.load(std::memory_order_seq_cst) != seen ||
-                stopping_.load(std::memory_order_acquire);
-        });
+    if (max_ns == 0)
+        wake_cv_.wait(lock, woken);
+    else
+        wake_cv_.wait_for(lock, std::chrono::nanoseconds(max_ns), woken);
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -216,31 +220,12 @@ void scheduler::execute(task_type task, worker_counters& counters)
 
 bool scheduler::do_background_work(worker_counters* counters)
 {
-    // Hooks are registered once at startup but polled once per task, so
-    // each thread keeps a cached snapshot refreshed on version change.
-    thread_local std::vector<background_fn> hooks;
-    thread_local std::uint64_t hooks_version = ~std::uint64_t{0};
-    thread_local std::uint64_t hooks_owner = 0;
-
-    std::uint64_t const version =
-        background_version_.load(std::memory_order_acquire);
-    if (hooks_version != version || hooks_owner != uid_)
-    {
-        std::lock_guard lock(background_lock_);
-        hooks = background_;
-        hooks_version = version;
-        hooks_owner = uid_;
-    }
-    if (hooks.empty())
+    progress_hook* const hook = hook_.load(std::memory_order_acquire);
+    if (hook == nullptr)
         return false;
 
     std::int64_t const t_start = now_ns();
-    bool made_progress = false;
-    for (auto const& hook : hooks)
-    {
-        if (hook())
-            made_progress = true;
-    }
+    bool const made_progress = hook->progress();
     std::int64_t const elapsed = now_ns() - t_start;
 
     if (counters != nullptr)
@@ -287,28 +272,15 @@ bool scheduler::do_idle_work()
 {
     if (!idle_work_due_.load(std::memory_order_relaxed))
         return false;
-    // Locality-idle, not worker-idle: the hooks flush queues that every
-    // worker fills, so while a sibling still runs a task it may yet add
-    // to a batch.  The last worker to go idle reads 0 here.  The flag
+    // Locality-idle, not worker-idle: idle_flush() flushes queues that
+    // every worker fills, so while a sibling still runs a task it may yet
+    // add to a batch.  The last worker to go idle reads 0 here.  The flag
     // stays armed until a worker that saw 0 takes it.
     if (active_.load(std::memory_order_relaxed) != 0 ||
         !idle_work_due_.exchange(false, std::memory_order_acq_rel))
         return false;
-    // Copied under the lock, called outside it.  This runs once per
-    // armed idle period, not per spin, so the copy is cheap enough; the
-    // per-thread cache stays for the per-task background hooks.
-    std::vector<background_fn> idle;
-    {
-        std::lock_guard lock(background_lock_);
-        idle = idle_hooks_;
-    }
-    bool made_work = false;
-    for (auto const& hook : idle)
-    {
-        if (hook())
-            made_work = true;
-    }
-    return made_work;
+    progress_hook* const hook = hook_.load(std::memory_order_acquire);
+    return hook != nullptr && hook->idle_flush();
 }
 
 void scheduler::worker_loop(std::size_t index)
@@ -319,6 +291,7 @@ void scheduler::worker_loop(std::size_t index)
     t_worker.helping = 0;
 
     auto& counters = instrumentation_.worker(index);
+    std::int64_t idle_since = 0;    // 0 while the worker finds work
 
     while (!stopping_.load(std::memory_order_acquire))
     {
@@ -330,6 +303,7 @@ void scheduler::worker_loop(std::size_t index)
         if (try_pop(index, task))
         {
             mark_active();
+            idle_since = 0;
             execute(std::move(task), counters);
             // Poll the network once per task so send queues drain even
             // under a task flood.
@@ -339,6 +313,7 @@ void scheduler::worker_loop(std::size_t index)
         if (try_steal(index, task))
         {
             mark_active();
+            idle_since = 0;
             counters.tasks_stolen.fetch_add(1, std::memory_order_relaxed);
             execute(std::move(task), counters);
             do_background_work(&counters);
@@ -346,12 +321,18 @@ void scheduler::worker_loop(std::size_t index)
         }
 
         // No tasks: make background progress; if that was idle too, run
-        // the idle hooks, and sleep only if they made no work either.
+        // idle_flush(), and sleep only if it made no work either.
         mark_idle();
         if (do_background_work(&counters) || do_idle_work())
+        {
+            idle_since = 0;
             continue;
+        }
         counters.idle_loops.fetch_add(1, std::memory_order_relaxed);
-        sleep_until_woken(seen);
+        std::int64_t const now = now_ns();
+        if (idle_since == 0)
+            idle_since = now;
+        sleep_until_woken(seen, now - idle_since < warm_ns);
     }
 
     // Drain phase: finish whatever is still queued (stop() guarantees no
@@ -408,19 +389,10 @@ bool scheduler::run_pending_task()
     return helping && do_idle_work();
 }
 
-void scheduler::register_background_work(background_fn fn)
+void scheduler::install_progress(progress_hook* hook)
 {
-    {
-        std::lock_guard lock(background_lock_);
-        background_.push_back(std::move(fn));
-    }
-    background_version_.fetch_add(1, std::memory_order_release);
-}
-
-void scheduler::register_idle_work(background_fn fn)
-{
-    std::lock_guard lock(background_lock_);
-    idle_hooks_.push_back(std::move(fn));
+    hook_.store(hook, std::memory_order_release);
+    wake_n(workers_.size());
 }
 
 void scheduler::request_idle_work()

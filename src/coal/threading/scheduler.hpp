@@ -7,26 +7,27 @@
 /// Each locality owns one scheduler with N OS worker threads.  Workers
 /// run queued tasks (the analogue of HPX threads), stealing from each
 /// other when their own deque is empty, and — crucially for this paper —
-/// execute registered *background work* between tasks: parcelport send
-/// and receive progress, exactly where HPX performs network protocol
-/// work.  The time spent in each activity is accounted separately
-/// (instrumentation.hpp), which is what makes the paper's
-/// `/threads/background-overhead` metric observable from inside the
-/// runtime.
+/// run *background work* between tasks through the one installed
+/// progress_hook: parcelport send and receive progress, exactly where HPX
+/// performs network protocol work.  The time spent in each activity is
+/// accounted separately (instrumentation.hpp), which is what makes the
+/// paper's `/threads/background-overhead` metric observable from inside
+/// the runtime.
 ///
-/// Waiting inside a task must not block the worker: future::wait calls
-/// back into `run_pending_task()` (help-while-wait), so a single-worker
-/// locality can wait for remote results that require further local
-/// progress.
+/// Waiting inside a task must not block the worker: every wait goes
+/// through help_until(), which keeps running this scheduler's tasks and
+/// background work (help-while-wait), so a single-worker locality can
+/// wait for remote results that require further local progress.
 ///
 /// Idle work and wake-ups (DESIGN.md §8): the scheduler tracks how many
 /// of its workers are active.  A worker turns idle when it finds no task
-/// and its background work made no progress — in its own loop, or in a
-/// help-while-wait loop (`help_scope`).  Once request_idle_work() armed
-/// them, the idle hooks (the parcelhandler flushes its coalescing queues
-/// there) run on the first worker that finds no worker active.  Idle
+/// and its background work made no progress — in its own loop, or while
+/// it helps inside help_until().  Once request_idle_work() armed it, the
+/// hook's idle_flush() (the parcelhandler flushes its coalescing queues
+/// there) runs on the first worker that finds no worker active.  Idle
 /// workers sleep on a wake sequence number that post(), post_n() and
-/// wake() bump, so a wake-up racing the decision to sleep is never lost.
+/// wake() bump, so a wake-up racing the decision to sleep is never lost;
+/// the hook says how long they may sleep before progress() must run again.
 
 #include <coal/common/mpmc_queue.hpp>
 #include <coal/common/spinlock.hpp>
@@ -34,10 +35,10 @@
 #include <coal/threading/instrumentation.hpp>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -47,20 +48,38 @@ namespace coal::threading {
 
 using task_type = unique_function<void()>;
 
-/// Background work hook.  Returns true when it made progress; the idle
-/// loop uses that to decide whether to back off.  May be invoked
-/// concurrently from several workers and must be thread-safe.
-using background_fn = std::function<bool()>;
+/// The scheduler's one progress contract with the network layer: the
+/// parcelhandler installs itself (install_progress).  progress() and
+/// idle_flush() may run concurrently on several workers and on external
+/// helper threads.
+class progress_hook
+{
+public:
+    /// Background work between tasks.  True when it made progress; the
+    /// worker then polls again instead of sleeping.
+    virtual bool progress() = 0;
+
+    /// Runs once per request_idle_work(), as soon as a worker found no
+    /// task, progress() made none, and no worker of this scheduler is
+    /// active (a worker helping inside help_until() that finds nothing
+    /// counts as idle).  True when it created work.
+    virtual bool idle_flush() = 0;
+
+    /// Longest an idle worker may sleep before progress() must run again
+    /// (ns), or 0 to sleep until woken: whatever progress() does that no
+    /// wake() announces must be due within this bound.
+    [[nodiscard]] virtual std::int64_t max_idle_sleep_ns() const = 0;
+
+protected:
+    progress_hook() = default;
+    ~progress_hook() = default;
+    progress_hook(progress_hook const&) = delete;
+    progress_hook& operator=(progress_hook const&) = delete;
+};
 
 struct scheduler_config
 {
     unsigned num_workers = 1;
-    /// Longest sleep of an idle worker (µs).  Posts, transport
-    /// deliveries and off-worker sends wake it at once (wake()), so this is
-    /// only the polling period for the reliability deadlines that nothing
-    /// wakes a worker for: retransmit timeouts, delayed acks, heartbeats
-    /// and eviction, all serviced by the parcelhandler's progress().
-    std::int64_t idle_sleep_us = 100;
     std::string name = "worker";
 };
 
@@ -90,24 +109,28 @@ public:
     /// help-while-wait path) and from external threads.
     bool run_pending_task();
 
-    /// Register a background work hook.  Thread-safe; takes effect for
-    /// subsequent polls.
-    void register_background_work(background_fn fn);
+    /// Install the progress hook (nullptr removes it; the hook must stay
+    /// alive until then or until stop()).  Wakes every worker: one may
+    /// be asleep with no timeout, and the hook has work to poll.
+    void install_progress(progress_hook* hook);
 
-    /// Register an idle hook.  The hooks run once per request_idle_work(),
-    /// as soon as a worker found no task, its background work made no
-    /// progress, and no worker of this scheduler is active (a worker in a
-    /// help_scope that finds nothing counts as idle).  A hook returns true
-    /// when it created work, so the worker polls again instead of
-    /// sleeping.
-    void register_idle_work(background_fn fn);
-
-    /// Arm the idle hooks: the caller queued work that only an idle hook
+    /// Arm the hook's idle_flush(): the caller queued work that only it
     /// sends (a parcel diverted to a coalescing queue).  From a non-worker
-    /// thread this also wakes a worker to run them.  While nothing is
-    /// armed, the idle check on every empty spin of help-while-wait is one
+    /// thread this also wakes a worker to run it.  While nothing is armed,
+    /// the idle check on every empty spin of help-while-wait is one
     /// relaxed load.
     void request_idle_work();
+
+    /// Help-while-wait until done() returns true or `deadline` passes;
+    /// returns done().  On a worker thread this runs its scheduler's
+    /// tasks and background work, counting the worker idle while it finds
+    /// none (so idle_flush() can send what the waiting task queued), and
+    /// backs off to cpu_relax() and then yield() so network and timer
+    /// threads get CPU on small machines.  Any other thread only yields.
+    template <typename Done>
+    static bool help_until(Done&& done,
+        std::chrono::steady_clock::time_point deadline =
+            std::chrono::steady_clock::time_point::max());
 
     /// Wake sleeping workers: work reached this scheduler from outside its
     /// workers (a transport delivery, a flush on the timer thread, a put
@@ -117,24 +140,6 @@ public:
     {
         wake_n(1);
     }
-
-    /// Marks a help-while-wait loop on one of this scheduler's workers:
-    /// inside the scope, a run_pending_task() that finds nothing to do
-    /// counts the worker as idle (and may run the idle hooks); leaving the
-    /// scope counts it as active again, since it returns to its task.  A
-    /// no-op on any other thread, so callers need not check.
-    class help_scope
-    {
-    public:
-        explicit help_scope(scheduler* sched) noexcept;
-        ~help_scope();
-
-        help_scope(help_scope const&) = delete;
-        help_scope& operator=(help_scope const&) = delete;
-
-    private:
-        scheduler* sched_;
-    };
 
     /// Tasks posted but not yet finished executing.
     [[nodiscard]] std::uint64_t pending_tasks() const noexcept
@@ -176,11 +181,28 @@ public:
     [[nodiscard]] bool on_worker_thread() const noexcept;
 
     /// The scheduler owning the calling worker thread, or nullptr when
-    /// called from a non-worker thread.  Used by future::wait to find the
-    /// help-while-wait target.
+    /// called from a non-worker thread.
     static scheduler* current();
 
 private:
+    /// Marks help_until() on one of this scheduler's workers: inside the
+    /// scope, a run_pending_task() that finds nothing to do counts the
+    /// worker as idle (and may run idle_flush()); leaving the scope counts
+    /// it as active again, since it returns to its task.  A no-op on any
+    /// other thread.
+    class help_scope
+    {
+    public:
+        explicit help_scope(scheduler* sched) noexcept;
+        ~help_scope();
+
+        help_scope(help_scope const&) = delete;
+        help_scope& operator=(help_scope const&) = delete;
+
+    private:
+        scheduler* sched_;
+    };
+
     struct worker_queue
     {
         spinlock lock;
@@ -198,34 +220,40 @@ private:
     void mark_idle() noexcept;
     void mark_active() noexcept;
 
-    /// Run the idle hooks if they are armed and no worker is active;
-    /// true if one made work.
+    /// Run idle_flush() if it is armed and no worker is active; true if
+    /// it made work.
     bool do_idle_work();
 
     /// Bump the wake sequence and wake up to `n` sleeping workers.
     void wake_n(std::size_t n);
 
-    /// Sleep until the wake sequence moves past `seen`, stop, or
-    /// idle_sleep_us elapses.
-    void sleep_until_woken(std::uint64_t seen);
+    /// Sleep until the wake sequence moves past `seen`, stop, or the
+    /// hook's max_idle_sleep_ns() elapses; a `warm` worker sleeps at most
+    /// warm_poll_ns.
+    void sleep_until_woken(std::uint64_t seen, bool warm);
+
+    /// A worker that ran work within the last warm_ns re-polls at least
+    /// every warm_poll_ns.  Not needed for correctness (every event wakes
+    /// a worker): on a VM, a worker blocked with no timeout lets its vCPU
+    /// halt long enough to be descheduled by the host, and the next
+    /// wake-up pays for that.  Without it `paced` lat_p90 read 15-27 %
+    /// higher (EXPERIMENTS.md, "One progress path"); a runtime idle for
+    /// longer than warm_ns stops polling.
+    static constexpr std::int64_t warm_ns = 1'000'000;
+    static constexpr std::int64_t warm_poll_ns = 100'000;
 
     scheduler_config config_;
-    std::uint64_t const uid_;    ///< process-unique (cache invalidation)
     instrumentation instrumentation_;
 
     std::vector<std::unique_ptr<worker_queue>> queues_;
     std::atomic<std::size_t> next_queue_{0};
 
-    std::vector<background_fn> background_;
-    std::atomic<std::uint64_t> background_version_{0};
-    mutable spinlock background_lock_;
-    /// Idle hooks, guarded by background_lock_; read only when armed.
-    std::vector<background_fn> idle_hooks_;
+    std::atomic<progress_hook*> hook_{nullptr};
 
     /// Workers not currently idle; every worker starts active.
     std::atomic<unsigned> active_;
-    /// Set by request_idle_work(), cleared by the worker that runs the
-    /// idle hooks.
+    /// Set by request_idle_work(), cleared by the worker that runs
+    /// idle_flush().
     std::atomic<bool> idle_work_due_{false};
 
     std::atomic<std::uint64_t> pending_{0};
@@ -242,5 +270,27 @@ private:
 
     std::vector<std::thread> workers_;
 };
+
+template <typename Done>
+bool scheduler::help_until(
+    Done&& done, std::chrono::steady_clock::time_point deadline)
+{
+    bool const timed = deadline != std::chrono::steady_clock::time_point::max();
+    scheduler* const sched = current();
+    help_scope help(sched);
+    unsigned idle = 0;
+    while (!done())
+    {
+        if (timed && std::chrono::steady_clock::now() >= deadline)
+            return done();
+        if (sched != nullptr && sched->run_pending_task())
+            idle = 0;
+        else if (sched != nullptr && ++idle < 64)
+            cpu_relax();
+        else
+            std::this_thread::yield();
+    }
+    return true;
+}
 
 }    // namespace coal::threading

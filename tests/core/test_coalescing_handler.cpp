@@ -70,7 +70,6 @@ struct handler_harness
     {
         scheduler_config c;
         c.num_workers = 1;
-        c.idle_sleep_us = 50;
         return c;
     }
 

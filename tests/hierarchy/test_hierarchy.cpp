@@ -79,7 +79,6 @@ coal::runtime_config hier_config()
     cfg.workers_per_locality = 1;
     cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
-    cfg.idle_sleep_us = 50;
     cfg.reliability.enabled = true;
     cfg.reliability.ack_delay_us = 100;
     cfg.reliability.min_rto_us = 500;

@@ -116,7 +116,6 @@ struct flow_harness
     {
         scheduler_config cfg;
         cfg.num_workers = 1;
-        cfg.idle_sleep_us = 50;
         return cfg;
     }
 

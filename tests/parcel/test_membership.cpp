@@ -117,7 +117,6 @@ struct membership_harness
     {
         scheduler_config cfg;
         cfg.num_workers = 1;
-        cfg.idle_sleep_us = 50;
         return cfg;
     }
 

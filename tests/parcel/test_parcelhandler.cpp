@@ -67,7 +67,6 @@ struct harness
     {
         scheduler_config cfg;
         cfg.num_workers = 1;
-        cfg.idle_sleep_us = 50;
         return cfg;
     }
 

@@ -406,7 +406,6 @@ struct sharding_harness
     {
         scheduler_config cfg;
         cfg.num_workers = 2;
-        cfg.idle_sleep_us = 50;
         return cfg;
     }
 

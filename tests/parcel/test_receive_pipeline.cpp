@@ -197,7 +197,6 @@ struct pipeline_harness
     {
         scheduler_config cfg;
         cfg.num_workers = workers;
-        cfg.idle_sleep_us = 50;
         return cfg;
     }
 

@@ -170,7 +170,6 @@ struct lossy_harness
     {
         scheduler_config cfg;
         cfg.num_workers = 1;
-        cfg.idle_sleep_us = 50;
         return cfg;
     }
 

@@ -79,7 +79,6 @@ coal::runtime_config chaos_config(std::uint64_t seed)
     cfg.workers_per_locality = 2;
     cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
-    cfg.idle_sleep_us = 50;
 
     cfg.faults.seed = seed;
     cfg.faults.drop_probability = 0.02;
@@ -373,7 +372,6 @@ TEST(ChaosSoak, ShortBlackoutHealsAndRestoresBatching)
     cfg.workers_per_locality = 2;
     cfg.transport = "loopback";
     cfg.apply_coalescing_defaults = false;
-    cfg.idle_sleep_us = 50;
     cfg.reliability.enabled = true;
     cfg.reliability.ack_delay_us = 100;
     cfg.reliability.min_rto_us = 500;

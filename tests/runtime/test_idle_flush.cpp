@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 namespace {
 
@@ -108,11 +110,10 @@ TEST(IdleFlush, IdleLocalityFlushesWithoutTimer)
 
 TEST(IdleFlush, DeliveryWakesIdleWorker)
 {
-    // Issued from the main thread with workers that would otherwise sleep
-    // a whole second between polls: the put, each transport delivery and
-    // each response must wake the idle worker that handles it.
+    // Issued from the main thread with reliability off, so idle workers
+    // sleep until woken: the put, each transport delivery and each
+    // response must wake the idle worker that handles it.
     auto cfg = two_localities(1);
-    cfg.idle_sleep_us = 1'000'000;
     cfg.reliability.enabled = false;
     runtime rt(cfg);
     rt.enable_coalescing(idle_echo_action::name(), batching(16));
@@ -123,6 +124,30 @@ TEST(IdleFlush, DeliveryWakesIdleWorker)
 
     EXPECT_EQ(done, round_trips);
     EXPECT_LE(elapsed_ms, bound_ms);
+    rt.stop();
+}
+
+TEST(IdleFlush, IdleRuntimeDoesNotPoll)
+{
+    // With reliability off nothing in progress() is time-driven, so the
+    // workers of a quiesced runtime sleep until woken instead of polling
+    // on a timer (a 100 us poll made ~1200 calls per worker here).
+    auto cfg = two_localities(1);
+    cfg.reliability.enabled = false;
+    runtime rt(cfg);
+    rt.quiesce();
+
+    std::uint64_t before[2];
+    for (std::uint32_t i = 0; i != 2; ++i)
+        before[i] = rt.get_locality(i).scheduler().snapshot().background_calls;
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    for (std::uint32_t i = 0; i != 2; ++i)
+    {
+        auto const polls =
+            rt.get_locality(i).scheduler().snapshot().background_calls -
+            before[i];
+        EXPECT_LT(polls, 20u) << "locality " << i;
+    }
     rt.stop();
 }
 

@@ -125,7 +125,6 @@ TEST(OverloadSoak, BoundedMemoryNoDeadlockExactlyOnce)
 
     scheduler_config cfg;
     cfg.num_workers = 2;
-    cfg.idle_sleep_us = 50;
     scheduler sched0(cfg), sched1(cfg);
 
     parcelhandler ph0(0, faulty, sched0, soak_reliability(), soak_flow());

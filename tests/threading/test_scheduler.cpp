@@ -1,4 +1,4 @@
-// Scheduler tests: task execution, stealing, background work hooks,
+// Scheduler tests: task execution, stealing, the progress hook,
 // instrumentation accounting and shutdown/drain semantics.
 
 #include <coal/threading/scheduler.hpp>
@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <latch>
 #include <thread>
 #include <vector>
@@ -25,6 +26,29 @@ scheduler_config make_config(unsigned workers)
     cfg.num_workers = workers;
     return cfg;
 }
+
+/// Progress hook running `fn` as progress(); idle workers sleep until
+/// woken.  Declare it before the scheduler so it outlives the workers.
+struct poll_hook final : coal::threading::progress_hook
+{
+    explicit poll_hook(std::function<bool()> f)
+      : fn(std::move(f))
+    {
+    }
+    bool progress() override
+    {
+        return fn();
+    }
+    bool idle_flush() override
+    {
+        return false;
+    }
+    std::int64_t max_idle_sleep_ns() const override
+    {
+        return 0;
+    }
+    std::function<bool()> fn;
+};
 
 TEST(Scheduler, ExecutesPostedTasks)
 {
@@ -110,24 +134,48 @@ TEST(Scheduler, OnWorkerThreadDetection)
 
 TEST(Scheduler, BackgroundWorkRunsWhenIdle)
 {
-    scheduler sched(make_config(1));
     std::atomic<int> polls{0};
-    sched.register_background_work([&] {
+    poll_hook hook([&] {
         ++polls;
         return false;
     });
+    scheduler sched(make_config(1));
+    sched.install_progress(&hook);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     EXPECT_GT(polls.load(), 0);
 }
 
-TEST(Scheduler, BackgroundWorkRunsBetweenTasks)
+TEST(Scheduler, HookInstalledWhileWorkersSleepRuns)
 {
-    scheduler sched(make_config(1));
+    // With no hook installed, a worker idle for longer than the warm
+    // window sleeps with no timeout, so only the wake in
+    // install_progress() gets the first poll to run.
     std::atomic<int> polls{0};
-    sched.register_background_work([&] {
+    poll_hook hook([&] {
         ++polls;
         return false;
     });
+    scheduler sched(make_config(2));
+    sched.post([] {});
+    sched.wait_idle();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    sched.install_progress(&hook);
+    coal::stopwatch deadline;
+    while (polls.load() < 2 && deadline.elapsed_ms() < 1000.0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(polls.load(), 2) << "a sleeping worker missed the install";
+}
+
+TEST(Scheduler, BackgroundWorkRunsBetweenTasks)
+{
+    std::atomic<int> polls{0};
+    poll_hook hook([&] {
+        ++polls;
+        return false;
+    });
+    scheduler sched(make_config(1));
+    sched.install_progress(&hook);
     int const before = polls.load();
     for (int i = 0; i != 100; ++i)
         sched.post([] { coal::timing::spin_for_us(10); });
@@ -144,11 +192,12 @@ TEST(Scheduler, BackgroundWorkRunsBetweenTasks)
 
 TEST(Scheduler, BackgroundTimeIsAccountedSeparately)
 {
-    scheduler sched(make_config(1));
-    sched.register_background_work([] {
+    poll_hook hook([] {
         coal::timing::spin_for_us(200);
         return true;    // "did work": counts toward Σt_bg
     });
+    scheduler sched(make_config(1));
+    sched.install_progress(&hook);
 
     for (int i = 0; i != 50; ++i)
         sched.post([] { coal::timing::spin_for_us(50); });
@@ -165,11 +214,12 @@ TEST(Scheduler, BackgroundTimeIsAccountedSeparately)
 
 TEST(Scheduler, IdlePollsDoNotCountAsBackgroundWork)
 {
-    scheduler sched(make_config(1));
-    sched.register_background_work([] {
+    poll_hook hook([] {
         coal::timing::spin_for_us(100);
         return false;    // found nothing to do
     });
+    scheduler sched(make_config(1));
+    sched.install_progress(&hook);
 
     for (int i = 0; i != 20; ++i)
         sched.post([] { coal::timing::spin_for_us(10); });
