@@ -2,25 +2,23 @@
 /// Peer-scale churn: one parcelhandler versus 100k peers.  A synthetic
 /// ack-echo transport plays the entire remote population — every
 /// sequenced frame is acknowledged inline from a per-peer cumulative
-/// counter — so the handler under test runs its real send, reliability
-/// and eviction machinery against peer counts no in-process harness of
+/// counter — so the handler under test runs its real send and
+/// reliability machinery against peer counts no in-process harness of
 /// actual parcelhandlers could host.
 ///
 /// Per peer-count row (1k / 10k / 100k): a round-robin pass first
-/// touches every peer (the store-growth path), then Zipf-distributed
-/// traffic models the realistic skew where a hot minority stays resident
-/// while the long tail goes idle and must be demoted by the sweeper.
-/// Reported: p50/p99/max put_parcel latency (the sharded-lookup hot
-/// path), end-to-end confirm throughput, resident-set growth per peer
-/// before and after idle eviction, and the sweeper's eviction rate.
+/// touches every peer (first contact creates each peer's state in the
+/// dense peer table), then Zipf-distributed traffic models the skew
+/// where a hot minority carries most parcels.  Reported: p50/p99/max
+/// put_parcel latency, end-to-end confirm throughput, and resident-set
+/// growth per peer with every peer contacted.
 ///
 ///     ./build/bench/bench_churn [peers=1000,10000,100000]
-///         [traffic=4] [zipf_s=1.0] [evict_idle_ms=50]
+///         [traffic=4] [zipf_s=1.0]
 ///
 /// Machine-readable rows:
 ///     BENCH {"bench":"churn","peers":...,"p99_put_us":...,
-///            "confirm_pps":...,"rss_per_peer_b":...,
-///            "rss_per_idle_peer_b":...,"evict_per_s":...}
+///            "confirm_pps":...,"rss_per_peer_b":...}
 
 #include "bench_common.hpp"
 
@@ -63,7 +61,6 @@ using coal::stopwatch;
 using coal::parcel::frame_header;
 using coal::parcel::parcel;
 using coal::parcel::parcelhandler;
-using coal::parcel::peer_store_params;
 using coal::parcel::reliability_params;
 using coal::threading::scheduler;
 using coal::threading::scheduler_config;
@@ -83,6 +80,11 @@ public:
             c.store(0, std::memory_order_relaxed);
     }
 
+    [[nodiscard]] std::uint32_t num_localities() const noexcept override
+    {
+        return static_cast<std::uint32_t>(cum_.size());
+    }
+
     void set_delivery_handler(
         std::uint32_t dst, delivery_handler handler) override
     {
@@ -97,7 +99,7 @@ public:
         sent_.fetch_add(1, std::memory_order_relaxed);
         auto flat = message.flatten_copy();
         auto const info = coal::parcel::peek_frame(flat);
-        if (info.header.seq == 0 || dst >= cum_.size())
+        if (info.header.seq == 0)
             return;    // heartbeat/ack toward the population: swallow
         // Cumulative ack: frames for one peer arrive in seq order on a
         // healthy link, but retransmit races make fetch-max the honest
@@ -207,7 +209,7 @@ double percentile(std::vector<double>& v, double p)
 }
 
 void run_row(std::uint32_t peers, std::uint32_t traffic_mult, double zipf_s,
-    std::int64_t evict_idle_ms, coal::bench::csv_sink& csv)
+    coal::bench::csv_sink& csv)
 {
     std::uint64_t const rss_start = rss_bytes();
 
@@ -222,12 +224,7 @@ void run_row(std::uint32_t peers, std::uint32_t traffic_mult, double zipf_s,
     rel.min_rto_us = 50000;    // the echo acks instantly; RTO is noise
     rel.max_rto_us = 200000;
 
-    peer_store_params store;
-    store.evict_idle_us = evict_idle_ms * 1000;
-    store.evict_scan_budget = 512;
-    store.evict_scan_interval_us = 200;
-
-    parcelhandler ph(0, transport, sched, rel, {}, {}, store);
+    parcelhandler ph(0, transport, sched, rel);
 
     auto put_one = [&](std::uint32_t dst) {
         parcel p;
@@ -238,7 +235,7 @@ void run_row(std::uint32_t peers, std::uint32_t traffic_mult, double zipf_s,
     };
 
     // Phase 1 — population growth: one parcel to every peer, timing each
-    // put (this is the get_or_create / snapshot-republish path).
+    // put (each send is the peer's first contact).
     std::vector<double> put_us;
     put_us.reserve(peers * (traffic_mult + 1));
     stopwatch grow;
@@ -251,8 +248,8 @@ void run_row(std::uint32_t peers, std::uint32_t traffic_mult, double zipf_s,
             std::chrono::duration<double, std::micro>(t1 - t0).count());
     }
 
-    // Phase 2 — skewed steady-state traffic: the hot head stays
-    // resident, the tail idles toward the sweeper.
+    // Phase 2 — skewed steady-state traffic: a hot head, a long idle
+    // tail.
     zipf_sampler zipf(peers, zipf_s);
     std::uint64_t rng = 0x5eed + peers;
     std::uint64_t const extra =
@@ -277,18 +274,7 @@ void run_row(std::uint32_t peers, std::uint32_t traffic_mult, double zipf_s,
     double const wall_s = grow.elapsed_ms() / 1000.0;
     std::uint64_t const confirmed = ph.counters().parcels_confirmed.load();
     std::uint64_t const rss_loaded = rss_bytes();
-
-    // Phase 3 — idle-out: stop offering and watch the sweeper demote the
-    // whole population.
-    stopwatch evict_clock;
-    auto last = ph.peer_stats();
-    while (last.active != 0 && evict_clock.elapsed_ms() < 60000.0)
-    {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        last = ph.peer_stats();
-    }
-    double const evict_s = evict_clock.elapsed_ms() / 1000.0;
-    std::uint64_t const rss_idle = rss_bytes();
+    std::size_t const known = ph.health().known_peers;
 
     double const p50 = percentile(put_us, 0.50);
     double const p99 = percentile(put_us, 0.99);
@@ -298,33 +284,21 @@ void run_row(std::uint32_t peers, std::uint32_t traffic_mult, double zipf_s,
     double const rss_per_peer = peers != 0 ?
         static_cast<double>(rss_loaded - rss_start) / peers :
         0.0;
-    double const rss_per_idle_peer = peers != 0 ?
-        static_cast<double>(rss_idle > rss_start ? rss_idle - rss_start : 0) /
-            peers :
-        0.0;
-    double const evict_per_s = evict_s > 0.0 ?
-        static_cast<double>(last.evictions) / evict_s :
-        0.0;
 
     std::printf("peers %7u | put us p50 %6.2f p99 %7.2f max %8.1f | "
                 "confirmed %" PRIu64 "/%" PRIu64 " (%.0f/s) | "
-                "rss/peer %.0f B loaded, %.0f B idle | "
-                "evicted %" PRIu64 " in %.2f s (%.0f/s) | "
-                "shard max %zu\n",
+                "rss/peer %.0f B | known %zu\n",
         peers, p50, p99, pmax, confirmed, offered, confirm_pps,
-        rss_per_peer, rss_per_idle_peer, last.evictions, evict_s,
-        evict_per_s, last.shard_max_occupancy);
+        rss_per_peer, known);
     std::printf("BENCH {\"bench\":\"churn\",\"peers\":%u,"
                 "\"p50_put_us\":%.3f,\"p99_put_us\":%.3f,"
                 "\"max_put_us\":%.1f,\"confirm_pps\":%.0f,"
-                "\"rss_per_peer_b\":%.0f,\"rss_per_idle_peer_b\":%.0f,"
-                "\"evictions\":%" PRIu64 ",\"evict_per_s\":%.0f,"
-                "\"active_end\":%zu}\n",
-        peers, p50, p99, pmax, confirm_pps, rss_per_peer,
-        rss_per_idle_peer, last.evictions, evict_per_s, last.active);
-    csv.row("%u,%.3f,%.3f,%.1f,%.0f,%.0f,%.0f,%" PRIu64 ",%.0f", peers, p50,
-        p99, pmax, confirm_pps, rss_per_peer, rss_per_idle_peer,
-        last.evictions, evict_per_s);
+                "\"confirmed\":%" PRIu64 ",\"offered\":%" PRIu64 ","
+                "\"rss_per_peer_b\":%.0f,\"known_peers\":%zu}\n",
+        peers, p50, p99, pmax, confirm_pps, confirmed, offered,
+        rss_per_peer, known);
+    csv.row("%u,%.3f,%.3f,%.1f,%.0f,%.0f", peers, p50, p99, pmax,
+        confirm_pps, rss_per_peer);
 
     ph.stop();
     sched.stop();
@@ -335,9 +309,9 @@ void run_row(std::uint32_t peers, std::uint32_t traffic_mult, double zipf_s,
 int main(int argc, char** argv)
 {
     auto const cfg = coal::bench::parse_cli(argc, argv);
-    coal::bench::print_header("Peer-scale churn: sharded store + idle "
-                              "eviction under Zipf traffic",
-        "scaling evidence for the sharded peer store (DESIGN.md §13)");
+    coal::bench::print_header(
+        "Peer-scale churn: dense peer table under Zipf traffic",
+        "scaling evidence for the peer table (DESIGN.md §13)");
 
     std::vector<std::uint32_t> peer_counts;
     {
@@ -356,14 +330,12 @@ int main(int argc, char** argv)
     }
     auto const traffic = static_cast<std::uint32_t>(cfg.get_int("traffic", 4));
     double const zipf_s = cfg.get_double("zipf_s", 1.0);
-    auto const evict_idle_ms = cfg.get_int("evict_idle_ms", 50);
 
     coal::bench::csv_sink csv(cfg,
         "peers,p50_put_us,p99_put_us,max_put_us,confirm_pps,"
-        "rss_per_peer_b,rss_per_idle_peer_b,evictions,evict_per_s");
+        "rss_per_peer_b");
 
     for (auto const peers : peer_counts)
-        run_row(static_cast<std::uint32_t>(peers), traffic, zipf_s,
-            evict_idle_ms, csv);
+        run_row(static_cast<std::uint32_t>(peers), traffic, zipf_s, csv);
     return 0;
 }

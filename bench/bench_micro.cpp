@@ -694,26 +694,23 @@ void report_timer_churn()
 //
 // The hot-path operation every send/ack performs: resolve a peer id to
 // its protocol state and mutate one field under the narrowest possible
-// lock.  Baseline is the pre-sharding design — one unordered_map behind
-// one global spinlock — against the sharded store's lock-free snapshot
-// lookup + per-peer lock.  Uniform random ids across 4096 peers: the
-// baseline serializes every thread on one cacheline, the sharded store
-// only collides two threads when they hit the same peer.
+// lock.  Baseline is one unordered_map behind one global spinlock,
+// against the dense peer table's index + per-peer lock.  Uniform random
+// ids across 4096 peers: the baseline serializes every thread on one
+// cacheline, the table only collides two threads when they hit the same
+// peer.
 
 void report_peer_lookup_contention()
 {
     constexpr std::uint32_t npeers = 4096;
     constexpr std::size_t per_thread = 400000;
 
-    coal::parcel::peer_store store;
-    for (std::uint32_t i = 0; i != npeers; ++i)
+    coal::parcel::peer_table table(npeers);
+    for (auto& e : table)
     {
-        auto& e = store.get_or_create(i);
         std::lock_guard lock(e.lock);
-        store.hydrate(e, 1);
+        table.create(e, 1);
     }
-    for (std::size_t s = 0; s != coal::parcel::peer_store::shard_count; ++s)
-        store.refresh_snapshot(s);
 
     coal::spinlock map_lock;
     std::unordered_map<std::uint32_t,
@@ -752,10 +749,10 @@ void report_peer_lookup_contention()
 
     for (unsigned threads : {1u, 2u, 4u, 8u})
     {
-        double const sharded = run_threads(threads, [&](std::uint32_t id) {
-            coal::parcel::peer_entry* e = store.find(id);
-            std::lock_guard lock(e->lock);
-            benchmark::DoNotOptimize(e->live->next_seq++);
+        double const dense = run_threads(threads, [&](std::uint32_t id) {
+            coal::parcel::peer_entry& e = table[id];
+            std::lock_guard lock(e.lock);
+            benchmark::DoNotOptimize(e.live->next_seq++);
         });
         double const baseline = run_threads(threads, [&](std::uint32_t id) {
             std::lock_guard lock(map_lock);
@@ -763,11 +760,11 @@ void report_peer_lookup_contention()
             benchmark::DoNotOptimize(it->second->next_seq++);
         });
         std::printf("BENCH {\"bench\":\"micro_peer_lookup\",\"threads\":%u,"
-                    "\"peers\":%u,\"sharded_lookups_per_sec\":%.0f,"
+                    "\"peers\":%u,\"table_lookups_per_sec\":%.0f,"
                     "\"global_lock_lookups_per_sec\":%.0f,"
                     "\"speedup\":%.2f}\n",
-            threads, npeers, sharded, baseline,
-            baseline > 0 ? sharded / baseline : 0.0);
+            threads, npeers, dense, baseline,
+            baseline > 0 ? dense / baseline : 0.0);
     }
 }
 

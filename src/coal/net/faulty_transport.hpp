@@ -108,6 +108,11 @@ public:
     faulty_transport(faulty_transport const&) = delete;
     faulty_transport& operator=(faulty_transport const&) = delete;
 
+    [[nodiscard]] std::uint32_t num_localities() const noexcept override
+    {
+        return inner_->num_localities();
+    }
+
     void set_delivery_handler(
         std::uint32_t dst, delivery_handler handler) override;
 

@@ -19,6 +19,11 @@ class loopback_transport final : public transport
 public:
     explicit loopback_transport(std::uint32_t num_localities);
 
+    [[nodiscard]] std::uint32_t num_localities() const noexcept override
+    {
+        return num_localities_;
+    }
+
     void set_delivery_handler(
         std::uint32_t dst, delivery_handler handler) override;
 

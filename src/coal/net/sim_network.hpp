@@ -109,6 +109,11 @@ public:
     sim_network(sim_network const&) = delete;
     sim_network& operator=(sim_network const&) = delete;
 
+    [[nodiscard]] std::uint32_t num_localities() const noexcept override
+    {
+        return num_localities_;
+    }
+
     void set_delivery_handler(
         std::uint32_t dst, delivery_handler handler) override;
 

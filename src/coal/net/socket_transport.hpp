@@ -137,6 +137,11 @@ public:
     socket_transport(socket_transport const&) = delete;
     socket_transport& operator=(socket_transport const&) = delete;
 
+    [[nodiscard]] std::uint32_t num_localities() const noexcept override
+    {
+        return num_localities_;
+    }
+
     void set_delivery_handler(
         std::uint32_t dst, delivery_handler handler) override;
 

@@ -48,6 +48,10 @@ public:
 
     virtual ~transport() = default;
 
+    /// Localities this transport connects: every id in [0, n) is valid,
+    /// and per-peer tables above it are sized by it.
+    [[nodiscard]] virtual std::uint32_t num_localities() const noexcept = 0;
+
     /// Register the receive handler for a destination locality.  Must be
     /// called for every locality before traffic starts.
     virtual void set_delivery_handler(

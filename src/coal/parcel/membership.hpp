@@ -22,7 +22,7 @@
 ///    but never before `min_dead_us` of silence — declares it *dead*:
 ///    all queued/deferred/retransmit-held parcels for the peer fail with
 ///    `delivery_error::peer_failed`, and its seq/credit/breaker state is
-///    torn down to a one-entry tombstone holding the fenced epoch.
+///    torn down; the peer's entry keeps only the fenced epoch.
 ///
 ///  - **Incarnation epochs.**  Every locality runs under an epoch
 ///    (starting at 1, bumped on restart) and every frame carries both
@@ -42,18 +42,6 @@
 /// The layer rides on the reliability prefix (heartbeats are frames,
 /// epochs travel in the frame header), so enabling it forces
 /// `reliability_params::enabled`.
-///
-/// **Interplay with idle eviction** (peer_store.hpp): a peer whose link
-/// is *data*-idle past `peer_store_params::evict_idle_us` is demoted to
-/// a tombstone even while heartbeats flow — heartbeats deliberately do
-/// not count as activity, or two idle peers would pin each other
-/// resident forever.  An evicted peer neither emits heartbeats nor
-/// scores phi; because both sides' last data contact is within one RTT
-/// of each other, both evict at (almost) the same time and the mutual
-/// silence is symmetric.  Suspicion does not survive eviction (it is a
-/// detector verdict, not protocol state), but a dead verdict does: the
-/// tombstone keeps the quarantined epoch, and `evict_idle_us` is scaled
-/// 8x for dead peers so rejoin-probe cycles run first.
 
 #include <cstdint>
 
@@ -64,7 +52,7 @@ enum class peer_status : std::uint8_t
 {
     alive,        ///< heard from recently (phi below suspect threshold)
     suspected,    ///< silent past suspect_phi; batching bypassed
-    dead,         ///< declared failed; state fenced, tombstone retained
+    dead,         ///< declared failed; state fenced, epoch retained
 };
 
 [[nodiscard]] constexpr char const* to_string(peer_status s) noexcept

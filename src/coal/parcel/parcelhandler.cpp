@@ -55,15 +55,17 @@ namespace {
 
 parcelhandler::parcelhandler(std::uint32_t here, net::transport& transport,
     threading::scheduler& scheduler, reliability_params reliability,
-    flow_params flow, membership_params membership, peer_store_params store)
+    flow_params flow, membership_params membership)
   : here_(here)
   , transport_(transport)
   , scheduler_(scheduler)
   , reliability_(reliability)
   , flow_(flow)
   , membership_(membership)
-  , store_params_(store)
+  , peers_(transport.num_localities())
 {
+    COAL_ASSERT(here_ < peers_.size());
+
     // Credits travel in the frame's ack fields, so flow control requires
     // the reliability layer underneath it.  Membership likewise: epochs
     // and heartbeats ride the reliability prefix.
@@ -123,12 +125,9 @@ void parcelhandler::put_parcel(parcel&& p)
     // A parcel toward a peer the failure detector declared dead fails
     // immediately instead of queueing behind a link that will never ack.
     // (A rejoin under a new incarnation epoch clears the dead mark and
-    // traffic resumes.)  Steady state costs two relaxed loads; a dead
-    // tombstone counts, so eviction never un-quarantines an incarnation.
+    // traffic resumes.)  Steady state costs one relaxed load.
     if (membership_.enabled &&
-        dead_peers_.load(std::memory_order_acquire) +
-                tombstoned_dead_.load(std::memory_order_acquire) !=
-            0 &&
+        dead_peers_.load(std::memory_order_acquire) != 0 &&
         peer_dead(p.dest))
     {
         std::vector<parcel> failed;
@@ -349,111 +348,25 @@ void parcelhandler::execute_parcel(parcel&& p)
         here_, trace::event_kind::parcel_executed, action);
 }
 
-// -- sharded peer store ------------------------------------------------------
+// -- peer table --------------------------------------------------------------
 
-peer_state& parcelhandler::hydrate_locked(peer_entry& e)
+peer_state& parcelhandler::live_locked(peer_entry& e)
 {
     if (e.live)
         return *e.live;
-    bool const was_dead =
-        e.tombstoned && e.tomb.status == peer_status::dead;
     peer_state& peer =
-        store_.hydrate(e, self_epoch_.load(std::memory_order_relaxed));
-    std::int64_t const now = now_ns();
-    if (was_dead)
-    {
-        // The quarantine gauge moves back to the live column; the
-        // put_parcel fail-fast gate keeps reading the sum.
-        tombstoned_dead_.fetch_sub(1, std::memory_order_release);
-        dead_peers_.fetch_add(1, std::memory_order_release);
-    }
-    // Hydration is contact: restart the idle clock, and hand the entry to
-    // the due ring so liveness/heartbeat service resumes (entry -> ring
-    // bucket is within the lock order).  The first service is due NOW,
-    // not one heartbeat out: a fresh peer_state has last_sent_ns == 0,
-    // so the next drain emits the greeting heartbeat immediately —
-    // carrying our epoch, the cumulative ack and a credit grant — and
-    // starts the phi silence clock.  The old full-map walk gave new
-    // peers exactly that first-tick service; deferring it by a full
-    // heartbeat interval would leave the initial frame's ack hostage to
-    // the 100 us delayed-ack timer alone.
-    e.last_activity_ns = now;
+        peers_.create(e, self_epoch_.load(std::memory_order_relaxed));
+    // First contact hands the entry to the due ring so liveness/heartbeat
+    // service starts (entry -> ring bucket is within the lock order).
+    // The first service is due NOW, not one heartbeat out: a fresh
+    // peer_state has last_sent_ns == 0, so the next drain emits the
+    // greeting heartbeat immediately — carrying our epoch, the cumulative
+    // ack and a credit grant — and starts the phi silence clock.
+    // Deferring it by a full heartbeat interval would leave the initial
+    // frame's ack hostage to the delayed-ack timer alone.
     if (membership_.enabled)
-        ring_.schedule(e.shared_from_this(), now);
+        ring_.schedule(e, now_ns());
     return peer;
-}
-
-bool parcelhandler::try_evict_locked(
-    peer_entry& e, peer_state& peer, std::int64_t now)
-{
-    if (store_params_.evict_idle_us <= 0)
-        return false;
-    std::int64_t idle_ns = store_params_.evict_idle_us * 1000;
-    // Dead peers linger 8x: several rejoin-probe cycles run before the
-    // quarantine is compressed into the tombstone.
-    if (peer.status == peer_status::dead)
-        idle_ns *= 8;
-    if (e.last_activity_ns == 0 || now - e.last_activity_ns < idle_ns)
-        return false;
-    if (!peer_store::evictable(peer))
-        return false;
-    if (peer.status == peer_status::suspected)
-    {
-        // Suspicion is a live-detector verdict, not protocol state: it
-        // does not survive eviction.  (If the peer is genuinely gone, the
-        // next hydration's silence re-derives it.)
-        peer.status = peer_status::alive;
-        suspected_peers_.fetch_sub(1, std::memory_order_release);
-    }
-    else if (peer.status == peer_status::dead)
-    {
-        dead_peers_.fetch_sub(1, std::memory_order_release);
-        tombstoned_dead_.fetch_add(1, std::memory_order_release);
-    }
-    store_.demote(e);
-    return true;
-}
-
-bool parcelhandler::evict_hand_step(std::int64_t now)
-{
-    if (!reliability_.enabled || store_params_.evict_idle_us <= 0)
-        return false;
-    if (!hand_lock_.try_lock())
-        return false;
-    if (now - hand_last_step_ns_ < store_params_.evict_scan_interval_us * 1000)
-    {
-        hand_lock_.unlock();
-        return false;
-    }
-    hand_last_step_ns_ = now;
-    bool any = false;
-    // The hand walks the published snapshots lock-free; entries inserted
-    // since the last publication are folded in once per shard revolution
-    // by refresh_snapshot, so steady state covers every entry.  Shard
-    // advances count against the budget, bounding the loop on an empty
-    // store.
-    std::size_t budget = store_params_.evict_scan_budget;
-    while (budget != 0)
-    {
-        peer_store::snapshot const* sn = store_.shard_snapshot(hand_shard_);
-        std::size_t const n = sn == nullptr ? 0 : sn->entries.size();
-        if (hand_pos_ >= n)
-        {
-            store_.refresh_snapshot(hand_shard_);
-            hand_shard_ = (hand_shard_ + 1) % peer_store::shard_count;
-            hand_pos_ = 0;
-            --budget;
-            continue;
-        }
-        peer_entry& e = *sn->entries[hand_pos_].second;
-        ++hand_pos_;
-        --budget;
-        std::lock_guard lock(e.lock);
-        if (e.live && try_evict_locked(e, *e.live, now))
-            any = true;
-    }
-    hand_lock_.unlock();
-    return any;
 }
 
 bool parcelhandler::progress_send()
@@ -482,14 +395,12 @@ bool parcelhandler::progress_send()
         bool deferred = false;
         std::uint64_t gen = 0;
         std::uint64_t deferred_bytes_after = 0;
-        // Steady state this lookup is a lock-free snapshot binary search;
-        // only a first-contact insert takes the shard lock.  All protocol
-        // work below holds the PEER's lock — two destinations never
-        // serialize on each other.
-        peer_entry& e = store_.get_or_create(dst);
+        // All protocol work below holds the PEER's lock — two
+        // destinations never serialize on each other.
+        peer_entry& e = peers_[dst];
         {
             std::lock_guard lock(e.lock);
-            peer_state& peer = hydrate_locked(e);
+            peer_state& peer = live_locked(e);
             if (membership_.enabled && peer.status == peer_status::dead)
             {
                 // Jobs already queued when the peer was declared dead (or
@@ -536,7 +447,6 @@ bool parcelhandler::progress_send()
                     acks_pending_.fetch_sub(1, std::memory_order_release);
                 }
                 peer.last_sent_ns = now;
-                e.last_activity_ns = now;
             }
         }
         if (dead)
@@ -553,8 +463,7 @@ bool parcelhandler::progress_send()
         {
             // Make sure the deferred queue gets service (starvation trip,
             // release) even if no ack ever arrives to drive it.
-            ring_.schedule(e.shared_from_this(),
-                now + defer_service_us * 1000);
+            ring_.schedule(e, now + defer_service_us * 1000);
             trace::tracer::global().record(here_,
                 trace::event_kind::send_deferred, dst, deferred_bytes_after);
             return true;    // consumed a queue item (into the defer queue)
@@ -566,7 +475,7 @@ bool parcelhandler::progress_send()
             // Register the frame before handing it to the transport so a
             // synchronous loopback ack always finds its entry.
             std::lock_guard lock(e.lock);
-            peer_state& peer = hydrate_locked(e);
+            peer_state& peer = live_locked(e);
             if (membership_.enabled &&
                 (peer.status == peer_status::dead || peer.stream_gen != gen))
             {
@@ -577,9 +486,7 @@ bool parcelhandler::progress_send()
                 // below would silently collide, and its stale epoch stamp
                 // makes the receiver discard every retransmit — a permanent
                 // hole that wedges the link.  Fail the job instead, exactly
-                // as the fence failed its siblings.  (An evict/rehydrate
-                // cycle between the sections is NOT a fence: the tombstone
-                // carries stream_gen through, so the check passes.)
+                // as the fence failed its siblings.
                 dead = true;
             }
             else
@@ -610,7 +517,6 @@ bool parcelhandler::progress_send()
                 maybe_trip_breaker_locked(dst, peer);
                 if (flow_.enabled)
                     update_link_pressure_locked(peer);
-                e.last_activity_ns = now;
             }
         }
         if (dead)
@@ -620,7 +526,7 @@ bool parcelhandler::progress_send()
         }
         // Arm the retransmission timer (CAS-min: a no-op if an earlier
         // deadline is already registered).
-        ring_.schedule(e.shared_from_this(), retransmit_at);
+        ring_.schedule(e, retransmit_at);
         wire = serialization::wire_message(std::move(flat));
     }
     else
@@ -713,11 +619,11 @@ void parcelhandler::receive_one(inbound_message&& msg)
         // again at insertion below, under the same lock.
         bool duplicate = false;
         bool stale = false;
-        peer_entry& e = store_.get_or_create(msg.src);
+        peer_entry& e = peers_[msg.src];
         {
             std::int64_t const now = now_ns();
             std::lock_guard lock(e.lock);
-            peer_state& peer = hydrate_locked(e);
+            peer_state& peer = live_locked(e);
             if (membership_.enabled && info.header.src_epoch != 0 &&
                 info.header.src_epoch != peer.epoch)
             {
@@ -774,9 +680,9 @@ void parcelhandler::receive_one(inbound_message&& msg)
     std::vector<held_frame> ready;
     {
         std::int64_t const now = now_ns();
-        peer_entry& e = store_.get_or_create(msg.src);
+        peer_entry& e = peers_[msg.src];
         std::lock_guard lock(e.lock);
-        peer_state& peer = hydrate_locked(e);
+        peer_state& peer = live_locked(e);
         if (membership_.enabled && info.header.src_epoch != 0 &&
             info.header.src_epoch != peer.epoch)
         {
@@ -811,7 +717,6 @@ void parcelhandler::receive_one(inbound_message&& msg)
                 held_total_.fetch_sub(1, std::memory_order_release);
             }
             schedule_ack_locked(e, peer, now);
-            e.last_activity_ns = now;
         }
     }
 
@@ -930,9 +835,7 @@ void parcelhandler::forward_parcel(parcel&& p)
     // Same fail-fast as put_parcel: a fan-out leg toward a dead peer
     // would never be acked.
     if (membership_.enabled &&
-        dead_peers_.load(std::memory_order_acquire) +
-                tombstoned_dead_.load(std::memory_order_acquire) !=
-            0 &&
+        dead_peers_.load(std::memory_order_acquire) != 0 &&
         peer_dead(p.dest))
     {
         std::vector<parcel> failed;
@@ -965,10 +868,10 @@ void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
     std::int64_t const now = now_ns();
     std::vector<send_job> released;
     std::int64_t rearm = std::numeric_limits<std::int64_t>::max();
-    peer_entry& e = store_.get_or_create(src);
+    peer_entry& e = peers_[src];
     {
         std::lock_guard lock(e.lock);
-        peer_state& peer = hydrate_locked(e);
+        peer_state& peer = live_locked(e);
 
         // membership_admit runs under a separate lock hold; a fence can
         // slide in between.  Acks of the fenced incarnation applied to the
@@ -1097,7 +1000,7 @@ void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
                 rearm, peer.unacked.begin()->second.deadline_ns);
     }
 
-    ring_.schedule(e.shared_from_this(), rearm);
+    ring_.schedule(e, rearm);
     for (auto& job : released)
     {
         outbound_.push(std::move(job));
@@ -1114,7 +1017,7 @@ void parcelhandler::schedule_ack_locked(
     peer.ack_pending = true;
     acks_pending_.fetch_add(1, std::memory_order_release);
     peer.ack_deadline_ns = now + reliability_.ack_delay_us * 1000;
-    ring_.schedule(e.shared_from_this(), peer.ack_deadline_ns);
+    ring_.schedule(e, peer.ack_deadline_ns);
 }
 
 std::uint64_t parcelhandler::sack_bits_locked(peer_state const& peer) const
@@ -1189,7 +1092,7 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
     {
         std::lock_guard lock(e.lock);
         if (!e.live)
-            return never;    // evicted: nothing to service, ring de-arms
+            return never;    // crash reset: nothing to service, ring de-arms
         peer_state& peer = *e.live;
 
         // Delayed ack whose deadline came.
@@ -1421,10 +1324,7 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
                     // Keep the link's liveness signal alive when it is
                     // otherwise idle: a standalone heartbeat doubles as an
                     // ack/credit carrier, so a quiet link still converges
-                    // its flow state.  (A tombstoned peer emits nothing —
-                    // the early return above is the "heartbeat emitter
-                    // skips evicted peers" half of the idle-footprint
-                    // guarantee.)
+                    // its flow state.
                     if (now - peer.last_sent_ns >=
                         membership_.heartbeat_interval_us * 1000)
                     {
@@ -1522,15 +1422,10 @@ bool parcelhandler::link_degraded(std::uint32_t dst) const
         (open_breakers_.load(std::memory_order_acquire) == 0 &&
             suspected_peers_.load(std::memory_order_acquire) == 0))
         return false;
-    peer_entry const* e = store_.find(dst);
-    if (e == nullptr)
-        return false;
-    std::lock_guard lock(e->lock);
-    // A tombstoned peer is never degraded: eviction clears suspicion and
-    // requires a closed breaker.
-    return e->live != nullptr &&
-        (e->live->breaker_open ||
-            e->live->status == peer_status::suspected);
+    peer_entry const& e = peers_[dst];
+    std::lock_guard lock(e.lock);
+    return e.live != nullptr &&
+        (e.live->breaker_open || e.live->status == peer_status::suspected);
 }
 
 pressure_state parcelhandler::flow_pressure(std::uint32_t dst) const
@@ -1542,13 +1437,11 @@ pressure_state parcelhandler::flow_pressure(std::uint32_t dst) const
     // Steady state: no link above ok anywhere — answer without any lock.
     if (pressured_links_.load(std::memory_order_relaxed) == 0)
         return pool;
-    peer_entry const* e = store_.find(dst);
-    if (e == nullptr)
+    peer_entry const& e = peers_[dst];
+    std::lock_guard lock(e.lock);
+    if (e.live == nullptr)
         return pool;
-    std::lock_guard lock(e->lock);
-    if (e->live == nullptr)
-        return pool;
-    return max_pressure(pool, e->live->link_pressure);
+    return max_pressure(pool, e.live->link_pressure);
 }
 
 pressure_state parcelhandler::current_pressure() const noexcept
@@ -1754,13 +1647,9 @@ void parcelhandler::stamp_epochs_locked(
 
 bool parcelhandler::peer_dead(std::uint32_t dst) const
 {
-    peer_entry const* e = store_.find(dst);
-    if (e == nullptr)
-        return false;
-    std::lock_guard lock(e->lock);
-    if (e->live)
-        return e->live->status == peer_status::dead;
-    return e->tombstoned && e->tomb.status == peer_status::dead;
+    peer_entry const& e = peers_[dst];
+    std::lock_guard lock(e.lock);
+    return e.live != nullptr && e.live->status == peer_status::dead;
 }
 
 void parcelhandler::fence_peer_locked(
@@ -1807,10 +1696,6 @@ void parcelhandler::fence_peer_locked(
     }
     if (flow_.enabled)
         update_link_pressure_locked(peer);
-    // A fence is contact (death verdict or rejoin): restart the idle
-    // clock so the dead-peer probe cycles run before eviction compresses
-    // the quarantine into the tombstone.
-    e.last_activity_ns = now_ns();
 }
 
 std::size_t parcelhandler::fail_fenced(fenced_state&& fenced)
@@ -1859,48 +1744,10 @@ bool parcelhandler::membership_admit(
     bool admit = true;
     std::uint32_t rejoin_epoch = 0;
     std::uint32_t refute_epoch = 0;
-    peer_entry& e = store_.get_or_create(src);
+    peer_entry& e = peers_[src];
     {
         std::lock_guard lock(e.lock);
-
-        // Tombstone gate, BEFORE hydration: the cheap fencing decisions
-        // are answered from the ~40-byte tombstone so ghosts and idle
-        // chatter never resurrect a full protocol block.
-        if (!e.live && e.tombstoned)
-        {
-            if (hdr.src_epoch != 0 && hdr.src_epoch < e.tomb.epoch)
-            {
-                // Ghost from an incarnation that already rejoined under a
-                // newer epoch.
-                counters_.stale_epoch_frames.fetch_add(
-                    1, std::memory_order_relaxed);
-                return false;
-            }
-            if (hdr.src_epoch != 0 && hdr.src_epoch == e.tomb.epoch &&
-                e.tomb.status == peer_status::dead)
-            {
-                // The quarantined incarnation keeps knocking: the
-                // tombstone answers without rehydrating it.
-                counters_.stale_epoch_frames.fetch_add(
-                    1, std::memory_order_relaxed);
-                return false;
-            }
-            // Same-epoch pure control frame (heartbeat or standalone ack,
-            // addressed to our current incarnation): acknowledge nothing,
-            // rehydrate nothing.  Without this gate two idle peers would
-            // flap each other's tombstones forever — A's heartbeat
-            // rehydrates B, B heartbeats back, rehydrating A...  Data
-            // frames, higher epochs and probes past our epoch fall
-            // through and hydrate below.
-            std::uint32_t const self =
-                self_epoch_.load(std::memory_order_relaxed);
-            if (hdr.seq == 0 && info.count == 0 &&
-                (hdr.src_epoch == 0 || hdr.src_epoch == e.tomb.epoch) &&
-                (hdr.dst_epoch == 0 || hdr.dst_epoch == self))
-                return false;
-        }
-
-        peer_state& peer = hydrate_locked(e);
+        peer_state& peer = live_locked(e);
 
         // Source-epoch rules (0 = sender without membership: bypass).
         if (hdr.src_epoch != 0)
@@ -1973,11 +1820,6 @@ bool parcelhandler::membership_admit(
             COAL_LOG_INFO("parcel",
                 "peer %u heard from again: suspicion cleared", src);
         }
-        // Only DATA traffic restarts the idle-eviction clock; heartbeats
-        // and probes must not keep an idle pair resident forever.
-        if (hdr.seq != 0 || info.count != 0)
-            e.last_activity_ns = now;
-
         // Destination-epoch rules.
         std::uint32_t const self =
             self_epoch_.load(std::memory_order_relaxed);
@@ -2005,7 +1847,7 @@ bool parcelhandler::membership_admit(
                 acks_pending_.fetch_add(1, std::memory_order_release);
             }
             peer.ack_deadline_ns = now;    // emit on the next tick
-            ring_.schedule(e.shared_from_this(), now);
+            ring_.schedule(e, now);
             admit = false;
         }
     }
@@ -2046,34 +1888,16 @@ void parcelhandler::refute_self(std::uint32_t new_epoch, std::uint32_t accuser)
     // the receiver fences as a ghost; the new epoch only ever appears on
     // streams this sweep has already reset.
     std::size_t failed = 0;
-    std::vector<std::shared_ptr<peer_entry>> entries;
-    for (std::size_t s = 0; s != peer_store::shard_count; ++s)
+    for (peer_entry& e : peers_)
     {
-        entries.clear();
-        store_.collect_shard(s, entries);
-        for (auto const& ep : entries)
+        fenced_state f;
         {
-            fenced_state f;
-            {
-                std::lock_guard lock(ep->lock);
-                if (ep->live)
-                {
-                    fence_peer_locked(*ep, *ep->live, f);
-                }
-                else if (ep->tombstoned)
-                {
-                    // Tombstones carry the stream binding too: patch them
-                    // so a later rehydration starts a fresh stream under
-                    // the new epoch instead of stamping the stale one.
-                    ep->tomb.link_epoch = new_epoch;
-                    ep->tomb.next_seq = 1;
-                    ++ep->tomb.stream_gen;
-                    ep->tomb.cum_received = 0;
-                }
-            }
-            if (!f.unacked.empty() || !f.deferred.empty())
-                failed += fail_fenced(std::move(f));
+            std::lock_guard lock(e.lock);
+            if (e.live)
+                fence_peer_locked(e, *e.live, f);
         }
+        if (!f.unacked.empty() || !f.deferred.empty())
+            failed += fail_fenced(std::move(f));
     }
     COAL_LOG_WARN("parcel",
         "locality %u was falsely declared dead by peer %u: refuted by "
@@ -2085,34 +1909,17 @@ void parcelhandler::refute_self(std::uint32_t new_epoch, std::uint32_t accuser)
 parcelhandler::health_snapshot parcelhandler::health() const
 {
     health_snapshot s;
-    // Live footprint only: tombstoned peers left the working set (their
-    // quarantine, if any, is visible through peer_stats()).
-    s.known_peers = store_.active();
+    s.known_peers = peers_.active();
     s.suspected_peers = suspected_peers_.load(std::memory_order_relaxed);
     s.dead_peers = dead_peers_.load(std::memory_order_relaxed);
     return s;
 }
 
-parcelhandler::peer_store_stats parcelhandler::peer_stats() const
-{
-    peer_store_stats s;
-    s.active = store_.active();
-    s.evicted = store_.tombstoned();
-    s.shard_max_occupancy = store_.shard_max_occupancy();
-    s.evictions = store_.evictions();
-    s.rehydrations = store_.rehydrations();
-    return s;
-}
-
 peer_status parcelhandler::peer_liveness(std::uint32_t dst) const
 {
-    peer_entry const* e = store_.find(dst);
-    if (e == nullptr)
-        return peer_status::alive;
-    std::lock_guard lock(e->lock);
-    if (e->live)
-        return e->live->status;
-    return e->tombstoned ? e->tomb.status : peer_status::alive;
+    peer_entry const& e = peers_[dst];
+    std::lock_guard lock(e.lock);
+    return e.live != nullptr ? e.live->status : peer_status::alive;
 }
 
 namespace {
@@ -2121,7 +1928,6 @@ namespace {
         parcelhandler::peer_debug& d, peer_state const& peer)
     {
         d.known = true;
-        d.evicted = false;
         d.status = peer.status;
         d.epoch = peer.epoch;
         d.unacked_frames = peer.unacked.size();
@@ -2141,50 +1947,29 @@ namespace {
 
 parcelhandler::peer_debug parcelhandler::debug_peer(std::uint32_t dst) const
 {
+    // An absent slot (never contacted, or crash-reset) reports unknown.
     peer_debug d;
-    peer_entry const* e = store_.find(dst);
-    if (e == nullptr)
-        return d;
-    std::lock_guard lock(e->lock);
-    if (e->live)
-    {
-        fill_debug_locked(d, *e->live);
-    }
-    else if (e->tombstoned)
-    {
-        d.known = true;
-        d.evicted = true;
-        d.status = e->tomb.status;
-        d.epoch = e->tomb.epoch;
-        d.next_seq = e->tomb.next_seq;
-        d.cum_received = e->tomb.cum_received;
-    }
-    // A crash-reset slot (neither live nor tombstoned) reports unknown:
-    // the incarnation's memory of that peer is gone.
+    peer_entry const& e = peers_[dst];
+    std::lock_guard lock(e.lock);
+    if (e.live)
+        fill_debug_locked(d, *e.live);
     return d;
 }
 
 std::vector<std::pair<std::uint32_t, parcelhandler::peer_debug>>
 parcelhandler::debug_active_peers() const
 {
+    // One entry lock per peer: a slow diagnostic dump never stalls
+    // senders behind a global lock (they only contend on their own peer).
     std::vector<std::pair<std::uint32_t, peer_debug>> out;
-    std::vector<std::shared_ptr<peer_entry>> entries;
-    for (std::size_t s = 0; s != peer_store::shard_count; ++s)
+    for (peer_entry const& e : peers_)
     {
-        // One shard lock to copy the entry list, then one entry lock per
-        // peer: a slow diagnostic dump never stalls senders behind a
-        // global lock (they only ever contend on their own peer).
-        entries.clear();
-        store_.collect_shard(s, entries);
-        for (auto const& ep : entries)
-        {
-            std::lock_guard lock(ep->lock);
-            if (!ep->live)
-                continue;
-            peer_debug d;
-            fill_debug_locked(d, *ep->live);
-            out.emplace_back(ep->id, d);
-        }
+        std::lock_guard lock(e.lock);
+        if (!e.live)
+            continue;
+        peer_debug d;
+        fill_debug_locked(d, *e.live);
+        out.emplace_back(e.id, d);
     }
     return out;
 }
@@ -2208,7 +1993,6 @@ void parcelhandler::simulate_crash()
 
     std::vector<parcel> destroyed;
     std::vector<fenced_state> fenced_all;
-    std::vector<std::shared_ptr<peer_entry>> entries;
     auto drain = [&] {
         // Queued-but-unsent messages die with the incarnation.  (The
         // ticket sequencer is deliberately left intact: batches detached
@@ -2224,36 +2008,24 @@ void parcelhandler::simulate_crash()
         while (auto msg = inbox_.try_pop())
         {
         }
-        // Per-peer teardown, one entry lock at a time.  reset() drops the
-        // tombstone too — the dead incarnation's memory (streams, dedup
-        // windows, quarantines) must not leak into the next one.  Ring
-        // registrations of reset entries die on their next pop (!live).
-        for (std::size_t s = 0; s != peer_store::shard_count; ++s)
+        // Per-peer teardown, one entry lock at a time: the dead
+        // incarnation's memory (streams, dedup windows, quarantines) must
+        // not leak into the next one.  Ring registrations of reset
+        // entries die on their next pop (!live).
+        for (peer_entry& e : peers_)
         {
-            entries.clear();
-            store_.collect_shard(s, entries);
-            for (auto const& ep : entries)
-            {
-                std::lock_guard lock(ep->lock);
-                if (ep->live)
-                {
-                    fenced_state f;
-                    fence_peer_locked(*ep, *ep->live, f);
-                    if (!f.unacked.empty() || !f.deferred.empty())
-                        fenced_all.push_back(std::move(f));
-                    if (ep->live->status == peer_status::suspected)
-                        suspected_peers_.fetch_sub(
-                            1, std::memory_order_release);
-                    else if (ep->live->status == peer_status::dead)
-                        dead_peers_.fetch_sub(1, std::memory_order_release);
-                }
-                else if (ep->tombstoned &&
-                    ep->tomb.status == peer_status::dead)
-                {
-                    tombstoned_dead_.fetch_sub(1, std::memory_order_release);
-                }
-                store_.reset(*ep);
-            }
+            std::lock_guard lock(e.lock);
+            if (!e.live)
+                continue;
+            fenced_state f;
+            fence_peer_locked(e, *e.live, f);
+            if (!f.unacked.empty() || !f.deferred.empty())
+                fenced_all.push_back(std::move(f));
+            if (e.live->status == peer_status::suspected)
+                suspected_peers_.fetch_sub(1, std::memory_order_release);
+            else if (e.live->status == peer_status::dead)
+                dead_peers_.fetch_sub(1, std::memory_order_release);
+            peers_.reset(e);
         }
     };
 
@@ -2350,11 +2122,8 @@ bool parcelhandler::progress()
         // Deadline service is ring-driven: one drainer at a time visits
         // only the peers whose timers came due — amortized O(active)
         // instead of the old O(peers-ever-seen) full-map walks.
-        std::int64_t const now = now_ns();
         pumped = ring_.drain(
-            now, [this](peer_entry& e) { return service_peer(e); });
-        if (evict_hand_step(now))
-            pumped = true;
+            now_ns(), [this](peer_entry& e) { return service_peer(e); });
     }
     if (flow_.enabled)
         note_pressure_transition();

@@ -61,7 +61,7 @@
 #include <coal/parcel/membership.hpp>
 #include <coal/parcel/message_handler.hpp>
 #include <coal/parcel/parcel.hpp>
-#include <coal/parcel/peer_store.hpp>
+#include <coal/parcel/peer_table.hpp>
 #include <coal/threading/scheduler.hpp>
 
 #include <array>
@@ -215,10 +215,10 @@ public:
     using delivery_error_handler =
         std::function<void(delivery_error, parcel&&)>;
 
+    /// The peer table holds one slot per transport.num_localities().
     parcelhandler(std::uint32_t here, net::transport& transport,
         threading::scheduler& scheduler, reliability_params reliability = {},
-        flow_params flow = {}, membership_params membership = {},
-        peer_store_params store = {});
+        flow_params flow = {}, membership_params membership = {});
     ~parcelhandler();
 
     parcelhandler(parcelhandler const&) = delete;
@@ -421,19 +421,15 @@ public:
 
     /// Lock-free gate for liveness scans (relay selection): true while
     /// the failure detector trusts every peer — no suspected or dead
-    /// marks anywhere, tombstoned or live.  Steady state is three relaxed
-    /// gauge loads.
+    /// marks anywhere.  Steady state is two relaxed gauge loads.
     [[nodiscard]] bool all_peers_live() const noexcept
     {
         return suspected_peers_.load(std::memory_order_acquire) == 0 &&
-            dead_peers_.load(std::memory_order_acquire) == 0 &&
-            tombstoned_dead_.load(std::memory_order_acquire) == 0;
+            dead_peers_.load(std::memory_order_acquire) == 0;
     }
 
     /// Aggregate membership gauges the /net/health counters read.
-    /// known_peers is the *live* footprint (hydrated entries); evicted
-    /// tombstones are reported through peer_stats() instead, and a dead
-    /// peer demoted to a tombstone leaves dead_peers too.
+    /// known_peers is the footprint: peers with protocol state.
     struct health_snapshot
     {
         std::size_t known_peers = 0;
@@ -442,17 +438,6 @@ public:
     };
     [[nodiscard]] health_snapshot health() const;
 
-    /// Sharded-store gauges the /net/peers counters read.
-    struct peer_store_stats
-    {
-        std::size_t active = 0;       ///< hydrated entries
-        std::size_t evicted = 0;      ///< tombstoned entries
-        std::size_t shard_max_occupancy = 0;
-        std::uint64_t evictions = 0;
-        std::uint64_t rehydrations = 0;
-    };
-    [[nodiscard]] peer_store_stats peer_stats() const;
-
     /// Test/debug introspection: bytes and entries the reliability/flow
     /// layers retain for one peer.  A fenced (dead) peer must show zero
     /// everywhere — that is the "no per-peer state leak" invariant the
@@ -460,7 +445,6 @@ public:
     struct peer_debug
     {
         bool known = false;
-        bool evicted = false;    ///< demoted to a tombstone (state zeroed)
         peer_status status = peer_status::alive;
         std::uint32_t epoch = 0;
         std::size_t unacked_frames = 0;
@@ -477,11 +461,9 @@ public:
     };
     [[nodiscard]] peer_debug debug_peer(std::uint32_t dst) const;
 
-    /// Every hydrated peer's debug view, collected one shard at a time
-    /// (shard lock to copy the entry list, then one entry lock each) —
-    /// the quiesce non-convergence diagnostic iterates this instead of
-    /// probing every locality pair, so a 5 s dump no longer stalls all
-    /// senders behind one global lock.
+    /// Every known peer's debug view, one entry lock at a time — the
+    /// quiesce non-convergence diagnostic iterates this, so a 5 s dump
+    /// never stalls all senders behind one global lock.
     [[nodiscard]] std::vector<std::pair<std::uint32_t, peer_debug>>
     debug_active_peers() const;
 
@@ -513,8 +495,8 @@ public:
     void stop();
 
 private:
-    // send_job, unacked_frame, held_frame and peer_state moved to
-    // peer_store.hpp with the sharded store.
+    // send_job, unacked_frame, held_frame and peer_state live in
+    // peer_table.hpp.
 
     /// Reorder state for one ordered producer lane.  Lives in a sharded
     /// map: distinct streams (≈ distinct coalescer destinations) contend
@@ -590,18 +572,10 @@ private:
     void complete_promise(
         continuation_id id, serialization::shared_buffer&& payload);
 
-    // -- sharded peer store -----------------------------------------------
-    /// Rehydrate an evicted entry (gauge-aware wrapper around
-    /// peer_store::hydrate).  Caller holds e.lock.
-    peer_state& hydrate_locked(peer_entry& e);
-    /// Demote the entry to its tombstone when the idle policy and the
-    /// protocol-state safety check both allow it; clears suspicion and
-    /// moves a dead verdict to the tombstoned_dead_ gauge.  Caller holds
-    /// e.lock.  Returns true when the entry was evicted.
-    bool try_evict_locked(peer_entry& e, peer_state& peer, std::int64_t now);
-    /// Clock-hand eviction sweep: examine up to evict_scan_budget entries
-    /// via the shard snapshots (try-lock; concurrent callers skip).
-    bool evict_hand_step(std::int64_t now);
+    // -- peer table ---------------------------------------------------------
+    /// The entry's protocol state, created on first contact (which also
+    /// arms its first due-ring service).  Caller holds e.lock.
+    peer_state& live_locked(peer_entry& e);
     /// Per-peer deadline service driven by the due-time ring: due acks,
     /// windowed retransmits (RTO expiries and the holes handle_acks made
     /// due on sack evidence), starvation/dark-link handling, deferred
@@ -672,8 +646,8 @@ private:
     /// receiver fences as a ghost — never the new epoch on a stale
     /// sequence number.  Called WITHOUT any peer lock held.
     void refute_self(std::uint32_t new_epoch, std::uint32_t accuser);
-    /// True when `dst` is currently marked dead (cheap gauge gate first,
-    /// then the entry lock; a dead tombstone counts).
+    /// True when `dst` is currently marked dead (callers gate on the
+    /// dead_peers_ gauge first; this takes the entry lock).
     [[nodiscard]] bool peer_dead(std::uint32_t dst) const;
     /// Stamp the membership epochs on an outgoing frame header for `dst`.
     void stamp_epochs_locked(peer_state const& peer, frame_header& hdr) const;
@@ -723,17 +697,10 @@ private:
     reliability_params reliability_;
     flow_params flow_;
     membership_params membership_;
-    peer_store_params store_params_;
-    /// The sharded peer store (declared before the ring: the ring's
-    /// buckets hold entry references and must be destroyed first).
-    peer_store store_;
+    /// One slot per locality (declared before the ring: the ring's
+    /// buckets hold entry pointers and must be destroyed first).
+    peer_table peers_;
     due_ring ring_;
-    /// Clock-hand eviction cursor (hand_lock_ guards all three; steps
-    /// try-lock so concurrent progress() callers never wait here).
-    spinlock hand_lock_;
-    std::size_t hand_shard_ = 0;
-    std::size_t hand_pos_ = 0;
-    std::int64_t hand_last_step_ns_ = 0;
     /// Links whose circuit breaker is currently open; lets
     /// link_degraded() answer "none" without any peer lock.  Mutated
     /// only under the owning peer's lock.
@@ -749,20 +716,16 @@ private:
     std::atomic<std::size_t> deferred_sends_{0};
     /// Reliability totals maintained at every mutation point so
     /// pending_reliability() is three relaxed loads instead of a
-    /// full-store walk under lock.
+    /// full-table walk under lock.
     std::atomic<std::size_t> unacked_total_{0};
     std::atomic<std::size_t> held_total_{0};
     std::atomic<std::size_t> acks_pending_{0};
     /// Peers currently suspected / declared dead (gauges; mutated only
     /// under the owning peer's lock).  Both also serve as lock-free
     /// fast-path gates: link_degraded() and put_parcel's dead-peer check
-    /// skip the lock while they read zero.  A dead peer demoted to a
-    /// tombstone moves from dead_peers_ to tombstoned_dead_ — the
-    /// /net/health gauge reports only the live footprint, but the
-    /// put_parcel fail-fast gate checks the sum.
+    /// skip the lock while they read zero.
     std::atomic<std::size_t> suspected_peers_{0};
     std::atomic<std::size_t> dead_peers_{0};
-    std::atomic<std::size_t> tombstoned_dead_{0};
     /// This locality's incarnation epoch; starts at 1, bumped by
     /// restart_incarnation().
     std::atomic<std::uint32_t> self_epoch_{1};

@@ -1,49 +1,23 @@
 #pragma once
 
-/// \file peer_store.hpp
-/// Sharded, lock-free-on-read storage for per-peer protocol state, plus
-/// the due-time ring that replaces full-map background scans.
+/// \file peer_table.hpp
+/// Per-peer protocol state in a dense table indexed by locality id, plus
+/// the due-time ring that replaces full-table background scans.
 ///
-/// The parcelhandler used to keep every peer's reliability/flow/
-/// membership state in one `unordered_map` behind one global spinlock:
-/// every frame send, ack apply, credit release and heartbeat from every
-/// worker serialized on that lock, and the background tick walked the
-/// whole map — O(peers-ever-seen) per call.  This store replaces it
-/// with three cooperating structures:
+/// Locality ids are dense integers in [0, N), fixed at startup, so each
+/// parcelhandler owns one `peer_entry` slot per locality (N comes from
+/// transport::num_localities()).  Slots never move or die while the
+/// parcelhandler lives, so a `peer_entry&` from a lookup stays valid with
+/// no lock, hazard pointer or reference count.  An id >= N is a caller
+/// bug and trips COAL_ASSERT: ids off a real wire are range-checked by
+/// the transport before delivery.
 ///
-/// 1. **Shards.**  Peer ids hash onto `shard_count` cacheline-aligned
-///    shards; the shard lock guards only the map *structure* (insert and
-///    snapshot publication).  Entries are heap-allocated and NEVER erased
-///    while the store lives — eviction demotes an entry in place — so a
-///    raw `peer_entry*` obtained from any lookup stays valid without
-///    hazard pointers or reference counting on the hot path.
-///
-/// 2. **Published snapshots.**  Each shard publishes an immutable sorted
-///    (id, entry*) array through one atomic pointer.  Readers binary-
-///    search it lock-free; a miss consults the shard's entry count and
-///    only falls back to the locked map when entries were added after the
-///    last publication.  Publication follows a doubling policy (republish
-///    when the map reaches 2x the snapshot), so a shard of n peers
-///    retires O(log n) snapshots totalling < 2n slots; retired snapshots
-///    are parked until the store is destroyed, which is what makes the
-///    reader side safe with zero synchronization.  The eviction clock
-///    hand folds in stragglers once per revolution, so the steady state
-///    converges to "every entry visible lock-free".
-///
-/// 3. **Per-peer state behind a per-peer lock.**  All protocol state
-///    (`peer_state`) hangs off the entry behind the entry's own spinlock;
-///    two peers never serialize on each other.  Lock order is strictly
-///    shard -> entry -> ring bucket; no path acquires a shard lock while
-///    holding an entry lock.
-///
-/// **Idle eviction.**  An entry whose peer holds no protocol state (no
-/// unacked/held frames, no deferred jobs, no pending ack, breaker
-/// closed) can be demoted to a compact `peer_tombstone` — the few fields
-/// that exactly-once delivery and epoch fencing must remember: the next
-/// send sequence, the cumulative receive sequence, the stream generation
-/// and both incarnation epochs.  Rehydration on next contact restores a
-/// full `peer_state` from the tombstone transparently; an idle peer
-/// costs tens of bytes instead of a full protocol block.
+/// **Per-peer state behind a per-peer lock.**  All protocol state
+/// (`peer_state`) hangs off the entry behind the entry's own spinlock;
+/// two peers never serialize on each other.  The state is created on
+/// first contact and dropped only by a crash reset, so a peer is either
+/// absent (never contacted, or reset) or live, and memory tracks the
+/// peers actually contacted.  Lock order is entry -> ring bucket.
 ///
 /// **Due-time ring.**  Per-peer deadlines (delayed acks, retransmit
 /// timeouts, heartbeats, dead-peer probes, deferred-send service) are
@@ -54,6 +28,7 @@
 /// at a time walks only the buckets whose time has come — amortized
 /// O(active peers) instead of O(all peers) per background tick.
 
+#include <coal/common/assert.hpp>
 #include <coal/common/cacheline.hpp>
 #include <coal/common/pressure.hpp>
 #include <coal/common/spinlock.hpp>
@@ -67,29 +42,9 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace coal::parcel {
-
-/// Tunables of the sharded peer store's idle-eviction sweeper.
-struct peer_store_params
-{
-    /// Demote a state-free peer to a tombstone after this long without
-    /// *data* traffic (heartbeats and probes do not count — otherwise
-    /// two mutually-heartbeating idle peers would keep each other
-    /// resident forever).  0 disables eviction.  Dead peers linger 8x
-    /// as long so several rejoin-probe cycles run before the tombstone
-    /// takes over (a restarted peer still rehydrates the link by
-    /// contacting us with its higher epoch).
-    std::int64_t evict_idle_us = 2'000'000;
-
-    /// Entries the clock-hand sweeper examines per step.
-    std::size_t evict_scan_budget = 64;
-
-    /// Minimum interval between sweeper steps.
-    std::int64_t evict_scan_interval_us = 500;
-};
 
 /// A batch of parcels bound for one destination as one wire message.
 struct send_job
@@ -183,7 +138,7 @@ struct peer_state
     /// without a stop-the-world lock, and a send racing the sweep stamps
     /// the OLD epoch on the OLD stream (the receiver fences it as a
     /// ghost) instead of the new epoch on a stale sequence number.
-    /// Updated at hydration and by every fence.
+    /// Set at first contact and by every fence.
     std::uint32_t link_epoch = 0;
     peer_status status = peer_status::alive;
     std::int64_t last_heard_ns = 0;    ///< last valid frame from the peer
@@ -196,33 +151,13 @@ struct peer_state
     double ewma_interarrival_us = 0.0;
 };
 
-/// What must survive eviction for exactly-once delivery and epoch
-/// fencing to stay correct across a demote/rehydrate cycle.
-struct peer_tombstone
+/// One peer's slot: a spinlock, the protocol state (null until first
+/// contact), and the due-ring registration.  `lock` guards `live`.
+/// Cacheline-aligned so workers locking different peers never share a
+/// line.
+struct alignas(cache_line_size) peer_entry
 {
-    /// Next send sequence: without it a rehydrated stream would re-issue
-    /// sequence numbers the peer's cumulative-ack dedup already covers,
-    /// and every fresh frame would be suppressed as a duplicate.
-    std::uint64_t next_seq = 1;
-    /// Cumulative receive sequence: without it a retransmit arriving
-    /// after rehydration would replay frames we already executed.
-    std::uint64_t cum_received = 0;
-    /// Voids send jobs that drew a sequence number before an eviction +
-    /// fence interleaving (same re-check as a live fence).
-    std::uint64_t stream_gen = 0;
-    std::uint32_t epoch = 0;         ///< peer incarnation (ghost fencing)
-    std::uint32_t link_epoch = 0;    ///< our incarnation bound to the stream
-    peer_status status = peer_status::alive;
-};
-
-/// One peer's slot: a spinlock, the full state (null while evicted), the
-/// tombstone, and the due-ring registration.  Entries are created once
-/// and never destroyed while the store lives; `lock` guards every
-/// non-atomic member.
-class peer_entry : public std::enable_shared_from_this<peer_entry>
-{
-public:
-    explicit peer_entry(std::uint32_t peer_id) noexcept
+    explicit peer_entry(std::uint32_t peer_id = 0) noexcept
       : id(peer_id)
     {
     }
@@ -230,144 +165,77 @@ public:
     peer_entry(peer_entry const&) = delete;
     peer_entry& operator=(peer_entry const&) = delete;
 
-    std::uint32_t const id;
+    std::uint32_t id;    ///< set once, when the table is built
     mutable spinlock lock;
-    std::unique_ptr<peer_state> live;    ///< null while evicted
-    peer_tombstone tomb;    ///< authoritative while !live && tombstoned
-    /// Distinguishes a real tombstone from a virgin/crash-reset slot.
-    bool tombstoned = false;
-    /// Last *data* contact (send registration, sequenced receive,
-    /// hydration, fence).  Heartbeats and probes deliberately excluded.
-    std::int64_t last_activity_ns = 0;
+    std::unique_ptr<peer_state> live;    ///< null while absent
     /// Earliest due-ring registration (INT64_MAX = none).  CAS-min by
     /// schedulers, cleared by the drainer before servicing.
     std::atomic<std::int64_t> ring_due{
         std::numeric_limits<std::int64_t>::max()};
 };
 
-class peer_store
+/// One entry per locality id in [0, size()).
+class peer_table
 {
 public:
-    static constexpr std::size_t shard_count = 64;    // power of two
+    explicit peer_table(std::uint32_t num_localities);
 
-    /// One shard's published read index: (id, entry) sorted by id.
-    /// Immutable after publication; entry pointers stay valid for the
-    /// store's lifetime because entries are never erased.
-    struct snapshot
+    peer_table(peer_table const&) = delete;
+    peer_table& operator=(peer_table const&) = delete;
+
+    [[nodiscard]] std::uint32_t size() const noexcept
     {
-        std::vector<std::pair<std::uint32_t, peer_entry*>> entries;
-    };
+        return static_cast<std::uint32_t>(entries_.size());
+    }
 
-    peer_store() = default;
-    peer_store(peer_store const&) = delete;
-    peer_store& operator=(peer_store const&) = delete;
+    [[nodiscard]] peer_entry& operator[](std::uint32_t id) noexcept
+    {
+        COAL_ASSERT_MSG(id < entries_.size(), "peer id beyond locality count");
+        return entries_[id];
+    }
 
-    /// Lock-free-on-read lookup: binary search of the published
-    /// snapshot; a definitive miss (snapshot covers the whole shard)
-    /// returns null without any lock, otherwise the shard map decides.
-    [[nodiscard]] peer_entry* find(std::uint32_t id) const noexcept;
+    [[nodiscard]] peer_entry const& operator[](
+        std::uint32_t id) const noexcept
+    {
+        COAL_ASSERT_MSG(id < entries_.size(), "peer id beyond locality count");
+        return entries_[id];
+    }
 
-    /// Find-or-insert.  Hits resolve through the snapshot lock-free;
-    /// only a genuine insert takes the shard lock (and republishes the
-    /// snapshot under the doubling policy).
-    [[nodiscard]] peer_entry& get_or_create(std::uint32_t id);
+    /// Whole-table sweeps (fence-all, crash reset, diagnostics).
+    [[nodiscard]] auto begin() noexcept
+    {
+        return entries_.begin();
+    }
+    [[nodiscard]] auto end() noexcept
+    {
+        return entries_.end();
+    }
+    [[nodiscard]] auto begin() const noexcept
+    {
+        return entries_.begin();
+    }
+    [[nodiscard]] auto end() const noexcept
+    {
+        return entries_.end();
+    }
 
-    /// Restore full state from the tombstone (or default-construct for a
-    /// never-seen peer).  Caller holds e.lock.  `self_epoch` seeds
-    /// link_epoch when the tombstone predates membership contact.
-    peer_state& hydrate(peer_entry& e, std::uint32_t self_epoch);
+    /// First contact: create the entry's state, its stream bound to
+    /// `self_epoch`.  Caller holds e.lock and has seen `!e.live`.
+    peer_state& create(peer_entry& e, std::uint32_t self_epoch);
 
-    /// Demote a live entry to its tombstone.  Caller holds e.lock and
-    /// has verified eligibility (evictable() plus idle policy) — this
-    /// only performs the mechanical swap and bookkeeping.
-    void demote(peer_entry& e);
-
-    /// Crash reset: drop live state AND the tombstone (the incarnation's
-    /// memory dies with it).  Caller holds e.lock and has already fenced
-    /// the live state.
+    /// Crash reset: drop the state (the incarnation's memory dies with
+    /// it).  Caller holds e.lock and has already fenced the state.
     void reset(peer_entry& e);
 
-    /// Protocol-state emptiness — the safety half of eviction
-    /// eligibility (the idle-time policy half is the caller's).
-    [[nodiscard]] static bool evictable(peer_state const& st) noexcept
-    {
-        return st.unacked.empty() && st.held.empty() &&
-            st.deferred.empty() && !st.ack_pending && !st.breaker_open &&
-            st.unacked_bytes == 0 && st.deferred_bytes == 0;
-    }
-
-    /// Copy one shard's entries out under its lock (diagnostic and
-    /// fence-all sweeps; never the hot path).
-    void collect_shard(std::size_t shard_index,
-        std::vector<std::shared_ptr<peer_entry>>& out) const;
-
-    /// The shard's current published snapshot (may lag the map; the
-    /// clock hand calls refresh_snapshot once per revolution to fold in
-    /// stragglers).  Null until the first entry is inserted.
-    [[nodiscard]] snapshot const* shard_snapshot(
-        std::size_t shard_index) const noexcept;
-
-    /// Republish the shard's snapshot if entries were added since the
-    /// last publication.
-    void refresh_snapshot(std::size_t shard_index);
-
-    // Gauges (relaxed; the /net/peers counters read them).
-    [[nodiscard]] std::size_t size() const noexcept
-    {
-        return size_.load(std::memory_order_relaxed);
-    }
+    /// Entries with live state (relaxed; /net/health/known-peers).
     [[nodiscard]] std::size_t active() const noexcept
     {
         return active_.load(std::memory_order_relaxed);
     }
-    [[nodiscard]] std::size_t tombstoned() const noexcept
-    {
-        return tombstoned_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t evictions() const noexcept
-    {
-        return evictions_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t rehydrations() const noexcept
-    {
-        return rehydrations_.load(std::memory_order_relaxed);
-    }
-    /// Entries in the fullest shard — a skew diagnostic.  O(shards).
-    [[nodiscard]] std::size_t shard_max_occupancy() const noexcept;
 
 private:
-    struct alignas(cache_line_size) shard
-    {
-        mutable spinlock lock;
-        std::unordered_map<std::uint32_t, std::shared_ptr<peer_entry>> map;
-        std::atomic<snapshot const*> snap{nullptr};
-        /// Entry count, readable without the lock (the definitive-miss
-        /// fast path compares it against the snapshot's size).
-        std::atomic<std::size_t> count{0};
-        /// Map size at the last publication (guarded by lock).
-        std::size_t published = 0;
-        /// Every snapshot ever published, kept alive until destruction:
-        /// readers hold raw pointers with no synchronization, and the
-        /// doubling policy bounds the total at O(2n) slots.
-        std::vector<std::unique_ptr<snapshot const>> retired;
-    };
-
-    [[nodiscard]] static std::size_t shard_of(std::uint32_t id) noexcept
-    {
-        // Golden-ratio mix: locality ids are typically dense small
-        // integers, which would also distribute fine, but benches use
-        // synthetic ranges.
-        return (id * 0x9e3779b9u) >> 16 & (shard_count - 1);
-    }
-
-    void publish_locked(shard& s);
-
-    std::array<shard, shard_count> shards_;
-    std::atomic<std::size_t> size_{0};
+    std::vector<peer_entry> entries_;
     std::atomic<std::size_t> active_{0};
-    std::atomic<std::size_t> tombstoned_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::uint64_t> rehydrations_{0};
 };
 
 /// Bucketed absolute-time ring for per-peer deadlines.  ~134 ms horizon
@@ -399,7 +267,7 @@ public:
     /// entry's earliest registration: only a strictly earlier deadline
     /// inserts a new item, so mutation-site callers can re-arm
     /// conservatively without flooding the ring.
-    void schedule(std::shared_ptr<peer_entry> entry, std::int64_t due_ns);
+    void schedule(peer_entry& entry, std::int64_t due_ns);
 
     /// Drain every bucket between the last drain and `now`, servicing
     /// items whose time has come.  `service(peer_entry&)` returns the
@@ -498,7 +366,7 @@ private:
     struct item
     {
         std::int64_t due_ns = 0;
-        std::shared_ptr<peer_entry> entry;
+        peer_entry* entry = nullptr;
     };
 
     struct alignas(cache_line_size) bucket
@@ -519,7 +387,7 @@ private:
             std::memory_order_acq_rel);
         std::int64_t const next = service(*it.entry);
         if (next != std::numeric_limits<std::int64_t>::max())
-            schedule(std::move(it.entry), next);
+            schedule(*it.entry, next);
     }
 
     std::array<bucket, bucket_count> buckets_;

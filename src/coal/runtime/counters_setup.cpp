@@ -207,7 +207,6 @@ void runtime::register_counters()
     using enum shape;
     using C = parcel::parcelhandler_counters;
     using S = threading::scheduler_snapshot;
-    using P = parcel::parcelhandler::peer_store_stats;
     using H = parcel::parcelhandler::health_snapshot;
     using B = serialization::buffer_pool_stats;
     using W = net::socket_wire_stats;
@@ -253,7 +252,6 @@ void runtime::register_counters()
     auto parcels = local(
         [](locality& l) -> C const& { return l.parcels().counters(); });
     auto threads = local([](locality& l) { return l.scheduler().snapshot(); });
-    auto store = local([](locality& l) { return l.parcels().peer_stats(); });
     auto health = local([](locality& l) { return l.parcels().health(); });
     auto pool =
         global([] { return serialization::buffer_pool::global().stats(); });
@@ -490,18 +488,6 @@ void runtime::register_counters()
             "peers currently under suspicion (gauge)"},
         {"/net/health/dead-peers", gauge, health(&H::dead_peers),
             "peers currently declared dead (gauge; rejoin clears)"},
-        // ---- sharded peer store / idle eviction (/net/peers) -----------
-        {"/net/peers/active", gauge, store(&P::active),
-            "hydrated (resident) peer entries in the sharded store (gauge)"},
-        {"/net/peers/evicted", gauge, store(&P::evicted),
-            "idle peers demoted to compact tombstones (gauge)"},
-        {"/net/peers/shard-max-occupancy", max, store(&P::shard_max_occupancy),
-            "entries in the fullest shard (max across localities; hash-skew "
-            "diagnostic)"},
-        {"/net/peers/count/evictions", cumulative, store(&P::evictions),
-            "idle peers demoted to tombstones by the clock-hand sweeper"},
-        {"/net/peers/count/rehydrations", cumulative, store(&P::rehydrations),
-            "tombstoned peers restored to full state on renewed contact"},
         // ---- delivery-failure taxonomy: one row per delivery_error -----
         {"/net/count/delivery-errors/shed-overload", cumulative,
             parcels(&C::parcels_shed),

@@ -9,13 +9,12 @@ locality::locality(runtime& rt, agas::locality_id id,
     threading::scheduler_config scheduler_config, net::transport& transport,
     timing::deadline_timer_service& timers,
     parcel::reliability_params reliability, parcel::flow_params flow,
-    parcel::membership_params membership, parcel::peer_store_params store)
+    parcel::membership_params membership)
   : runtime_(rt)
   , id_(id)
   , scheduler_(std::make_unique<threading::scheduler>(scheduler_config))
   , parcels_(std::make_unique<parcel::parcelhandler>(
-        id.value(), transport, *scheduler_, reliability, flow, membership,
-        store))
+        id.value(), transport, *scheduler_, reliability, flow, membership))
   , coalescing_(std::make_unique<coalescing::coalescing_registry>(
         *parcels_, timers))
 {

@@ -39,8 +39,7 @@ public:
         timing::deadline_timer_service& timers,
         parcel::reliability_params reliability = {},
         parcel::flow_params flow = {},
-        parcel::membership_params membership = {},
-        parcel::peer_store_params store = {});
+        parcel::membership_params membership = {});
 
     locality(locality const&) = delete;
     locality& operator=(locality const&) = delete;

@@ -133,8 +133,7 @@ runtime::runtime(runtime_config config)
         sched.name = "locality#" + std::to_string(i);
         localities_.push_back(std::make_unique<locality>(*this,
             agas::locality_id{i}, sched, *transport_, *timers_,
-            config_.reliability, config_.flow, config_.membership,
-            config_.store));
+            config_.reliability, config_.flow, config_.membership));
     }
 
     // Component actions resolve their target objects through AGAS.
@@ -393,17 +392,12 @@ void runtime::quiesce()
                     loc->parcels().pending_receives(),
                     loc->parcels().pending_reliability(),
                     loc->coalescing().queued_parcels());
-                // One pass over the hydrated peers (per-shard snapshots)
-                // instead of probing every locality pair — with many
-                // evicted/unknown peers the dump cost tracks what is
-                // actually resident.
                 for (auto const& [peer_id, dbg] :
                     loc->parcels().debug_active_peers())
                 {
-                    if (dbg.evicted ||
-                        (dbg.status == parcel::peer_status::alive &&
-                            dbg.unacked_frames == 0 && dbg.held_frames == 0 &&
-                            dbg.deferred_jobs == 0))
+                    if (dbg.status == parcel::peer_status::alive &&
+                        dbg.unacked_frames == 0 && dbg.held_frames == 0 &&
+                        dbg.deferred_jobs == 0)
                         continue;
                     COAL_LOG_WARN("runtime",
                         "    -> peer %u %s (epoch %u): unacked %zu held %zu "

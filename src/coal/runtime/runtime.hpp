@@ -100,12 +100,6 @@ struct runtime_config
     /// reliability layer on — epochs and heartbeats ride the frame
     /// prefix.  See membership.hpp and DESIGN.md "Failure model".
     parcel::membership_params membership{};
-
-    /// Sharded peer-state store and idle-peer eviction tunables (shard
-    /// snapshot publication, clock-hand sweep budget, idle demotion
-    /// threshold).  See peer_store.hpp and DESIGN.md "Peer state at
-    /// scale".
-    parcel::peer_store_params store{};
 };
 
 class runtime

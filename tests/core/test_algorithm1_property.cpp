@@ -64,9 +64,15 @@ using coal::timing::deadline_timer_service;
 class recording_transport final : public transport
 {
 public:
-    explicit recording_transport(recorded& sink)
+    recording_transport(recorded& sink, std::uint32_t num_localities)
       : sink_(sink)
+      , num_localities_(num_localities)
     {
+    }
+
+    [[nodiscard]] std::uint32_t num_localities() const noexcept override
+    {
+        return num_localities_;
     }
 
     void set_delivery_handler(std::uint32_t, delivery_handler) override
@@ -108,6 +114,7 @@ public:
 
 private:
     recorded& sink_;
+    std::uint32_t num_localities_;
 };
 
 struct sweep_params
@@ -127,7 +134,7 @@ TEST_P(Algorithm1Property, ConservationOrderingAndBatchBounds)
     auto const sp = GetParam();
 
     recorded sink;
-    recording_transport transport(sink);
+    recording_transport transport(sink, 1 + sp.destinations);
 
     scheduler_config cfg;
     cfg.num_workers = 1;

@@ -59,9 +59,15 @@ struct recorded
 class recording_transport final : public transport
 {
 public:
-    explicit recording_transport(recorded& sink)
+    recording_transport(recorded& sink, std::uint32_t num_localities)
       : sink_(sink)
+      , num_localities_(num_localities)
     {
+    }
+
+    [[nodiscard]] std::uint32_t num_localities() const noexcept override
+    {
+        return num_localities_;
     }
 
     void set_delivery_handler(std::uint32_t, delivery_handler) override
@@ -102,6 +108,7 @@ public:
 
 private:
     recorded& sink_;
+    std::uint32_t num_localities_;
 };
 
 constexpr std::uint64_t pack(std::uint64_t producer, std::uint64_t seq)
@@ -120,7 +127,7 @@ TEST(SendPathRaces, PerDestinationFifoUnderConcurrentProducers)
     constexpr std::uint32_t destinations = 5;
 
     recorded sink;
-    recording_transport transport(sink);
+    recording_transport transport(sink, 1 + destinations);
     scheduler_config cfg;
     cfg.num_workers = 1;
     scheduler sched(cfg);
@@ -213,7 +220,7 @@ TEST(SendPathRaces, ShardedHandlerGaugeSettlesUnderStress)
     constexpr std::uint64_t per_producer = 4000;
 
     recorded sink;
-    recording_transport transport(sink);
+    recording_transport transport(sink, 1 + 32);
     scheduler_config cfg;
     cfg.num_workers = 1;
     scheduler sched(cfg);

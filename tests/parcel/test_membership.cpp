@@ -304,8 +304,8 @@ TEST(Membership, PeerDeathFencesAllStateAndFailsParcels)
         },
         "backlog failed as peer_failed");
 
-    // No per-peer state may remain for the dead peer: the tombstone
-    // holds only the verdict and the fenced epoch.
+    // No per-peer state may remain for the dead peer: its entry holds
+    // only the verdict and the fenced epoch.
     auto const dbg = h.ph0.debug_peer(1);
     EXPECT_TRUE(dbg.known);
     EXPECT_EQ(dbg.status, peer_status::dead);

@@ -84,6 +84,11 @@ public:
     {
     }
 
+    [[nodiscard]] std::uint32_t num_localities() const noexcept override
+    {
+        return inner_.num_localities();
+    }
+
     void set_delivery_handler(
         std::uint32_t dst, delivery_handler handler) override
     {

@@ -181,16 +181,6 @@ std::vector<std::pair<std::string, std::string>> const golden_catalogue{
     {"/net/health/known-peers",
         "peers with membership state at this locality (gauge)"},
     {"/net/health/suspected-peers", "peers currently under suspicion (gauge)"},
-    {"/net/peers/active",
-        "hydrated (resident) peer entries in the sharded store (gauge)"},
-    {"/net/peers/count/evictions",
-        "idle peers demoted to tombstones by the clock-hand sweeper"},
-    {"/net/peers/count/rehydrations",
-        "tombstoned peers restored to full state on renewed contact"},
-    {"/net/peers/evicted", "idle peers demoted to compact tombstones (gauge)"},
-    {"/net/peers/shard-max-occupancy",
-        "entries in the fullest shard (max across localities; hash-skew "
-        "diagnostic)"},
     {"/net/time/average-ack-latency",
         "mean time from first transmission to acknowledgement, µs"},
     {"/net/wire/count/accept-failures",
@@ -753,42 +743,6 @@ TEST(CountersIntegration, AggregateIdlePollsSumLocalities)
     ASSERT_GT(l1, 0.0);
     // Read after the localities, and monotonic: at least their sum.
     EXPECT_GE(c.query("/threads/time/idle-polls").value, l0 + l1);
-    rt.stop();
-}
-
-// Eviction and rehydration counts are monotonic, so reset-on-read zeroes
-// them like every other cumulative counter.
-TEST(CountersIntegration, PeerStoreCountsResetOnRead)
-{
-    runtime_config cfg = loopback();
-    cfg.reliability.enabled = true;
-    cfg.store.evict_idle_us = 20000;
-    cfg.store.evict_scan_interval_us = 200;
-    runtime rt(cfg);
-    auto& c = rt.counters();
-
-    // Wait until both localities demoted their idle peer.
-    auto wait_idle = [&] {
-        auto const deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(20);
-        while (std::chrono::steady_clock::now() < deadline)
-        {
-            if (c.query("/net/peers/active").value == 0.0)
-                return;
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        FAIL() << "peers never evicted";
-    };
-
-    round_trips(rt, 10);
-    wait_idle();
-    round_trips(rt, 10);    // rehydrates the tombstones
-    wait_idle();
-
-    EXPECT_GT(c.query("/net/peers/count/evictions", true).value, 0.0);
-    EXPECT_GT(c.query("/net/peers/count/rehydrations", true).value, 0.0);
-    EXPECT_DOUBLE_EQ(c.query("/net/peers/count/evictions").value, 0.0);
-    EXPECT_DOUBLE_EQ(c.query("/net/peers/count/rehydrations").value, 0.0);
     rt.stop();
 }
 
