@@ -12,6 +12,7 @@
 #include <coal/net/loopback.hpp>
 #include <coal/net/sim_network.hpp>
 #include <coal/net/socket_transport.hpp>
+#include <coal/net/wire_format.hpp>
 #include <coal/parcel/action.hpp>
 #include <coal/parcel/parcel.hpp>
 #include <coal/parcel/parcelhandler.hpp>
@@ -30,6 +31,7 @@
 #include <atomic>
 #include <complex>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -768,6 +770,53 @@ void report_peer_lookup_contention()
     }
 }
 
+// ---- CRC32C ---------------------------------------------------------------
+//
+// Every socket frame's payload is checksummed on send and verified on
+// receive, so the wire pays this per byte, twice.  Reported for the
+// bytewise reference and for the dispatched implementation at the frame
+// sizes the wire carries: layer evidence for the wire goodput numbers.
+
+double crc32c_gb_s(std::uint32_t (*crc)(void const*, std::size_t,
+                       std::uint32_t) noexcept,
+    byte_buffer const& bytes, std::size_t size)
+{
+    // Run for at least 50 ms so the reading is not timer granularity.
+    std::uint64_t done = 0;
+    std::uint32_t acc = 0;
+    std::int64_t const t0 = coal::now_ns();
+    std::int64_t t1 = t0;
+    while (t1 - t0 < 50'000'000)
+    {
+        for (int i = 0; i != 64; ++i)
+            acc = crc(bytes.data(), size, acc);
+        done += 64 * size;
+        t1 = coal::now_ns();
+    }
+    benchmark::DoNotOptimize(acc);
+    return static_cast<double>(done) / static_cast<double>(t1 - t0);
+}
+
+void report_crc32c()
+{
+    byte_buffer bytes(64 * 1024);
+    for (std::size_t i = 0; i != bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    for (std::size_t size : {std::size_t(64), std::size_t(4096),
+             std::size_t(64 * 1024)})
+    {
+        double const reference =
+            crc32c_gb_s(coal::net::wire::detail::crc32c_reference, bytes, size);
+        double const dispatched =
+            crc32c_gb_s(coal::net::wire::crc32c, bytes, size);
+        std::printf("BENCH {\"bench\":\"micro_crc32c\",\"bytes\":%zu,"
+                    "\"impl\":\"%s\",\"reference_gb_s\":%.3f,"
+                    "\"dispatched_gb_s\":%.3f,\"speedup\":%.1f}\n",
+            size, coal::net::wire::detail::crc32c_implementation(), reference,
+            dispatched, reference > 0 ? dispatched / reference : 0.0);
+    }
+}
+
 // ---- wire transport RTT / throughput --------------------------------------
 //
 // One-way latency (half a ping-pong round trip) and bulk throughput over
@@ -775,6 +824,26 @@ void report_peer_lookup_contention()
 // stack — next to the simulated transport's numbers, so the BENCH stream
 // records what the real wire costs relative to the model the experiments
 // run on.
+
+/// Spin (yielding) until `done()`; a wire that stops delivering ends the
+/// run with a diagnostic after 60 s instead of hanging it.
+template <typename Done>
+void wait_or_die(Done&& done, char const* what)
+{
+    constexpr std::int64_t limit_ns = 60'000'000'000;
+    std::int64_t const t0 = coal::now_ns();
+    while (!done())
+    {
+        if (coal::now_ns() - t0 > limit_ns)
+        {
+            std::fprintf(stderr,
+                "bench_micro: %s: not done after 60 s, giving up\n",
+                what);
+            std::exit(1);
+        }
+        std::this_thread::yield();
+    }
+}
 
 double wire_rtt_us(coal::net::transport& net, int rounds)
 {
@@ -798,16 +867,17 @@ double wire_rtt_us(coal::net::transport& net, int rounds)
 
     // Warm-up establishes connections.
     ping();
-    while (pongs.load(std::memory_order_acquire) != 1)
-        std::this_thread::yield();
+    wait_or_die([&] { return pongs.load(std::memory_order_acquire) == 1; },
+        "wire_rtt_us warm-up");
 
     std::int64_t const t0 = coal::now_ns();
     for (int i = 0; i != rounds; ++i)
     {
         int const seen = pongs.load(std::memory_order_acquire);
         ping();
-        while (pongs.load(std::memory_order_acquire) == seen)
-            std::this_thread::yield();
+        wait_or_die(
+            [&] { return pongs.load(std::memory_order_acquire) != seen; },
+            "wire_rtt_us pong");
     }
     std::int64_t const t1 = coal::now_ns();
     return static_cast<double>(t1 - t0) / (1000.0 * rounds);
@@ -816,6 +886,11 @@ double wire_rtt_us(coal::net::transport& net, int rounds)
 double wire_throughput_mb_s(
     coal::net::transport& net, std::size_t frames, std::size_t bytes)
 {
+    // Bytes allowed in flight.  The socket transport sheds frames beyond
+    // its 64 MiB outbound backlog by design, so offering all frames at
+    // once would measure the shedding, not the wire.
+    constexpr std::size_t window = 16u << 20;
+
     std::atomic<std::size_t> got{0};
     net.set_delivery_handler(0,
         [](std::uint32_t, coal::serialization::shared_buffer&&) {});
@@ -829,14 +904,34 @@ double wire_throughput_mb_s(
 
     std::int64_t const t0 = coal::now_ns();
     for (std::size_t i = 0; i != frames; ++i)
+    {
+        std::size_t const sent = i * bytes;
+        wait_or_die(
+            [&] {
+                return sent - got.load(std::memory_order_acquire) + bytes <=
+                    window;
+            },
+            "wire_throughput_mb_s window");
         net.send(0, 1,
             coal::serialization::wire_message(
                 coal::serialization::shared_buffer(payload)));
-    while (got.load(std::memory_order_acquire) != frames * bytes)
-        std::this_thread::yield();
+    }
+    wait_or_die(
+        [&] { return got.load(std::memory_order_acquire) == frames * bytes; },
+        "wire_throughput_mb_s completion");
     std::int64_t const t1 = coal::now_ns();
     return static_cast<double>(frames * bytes) * 1e3 /
         static_cast<double>(t1 - t0);
+}
+
+std::uint64_t backlog_drops(coal::net::socket_transport const& net)
+{
+    return net.wire_stats().backlog_drops;
+}
+
+std::uint64_t backlog_drops(coal::net::transport const&)
+{
+    return 0;    // only the socket wire has an outbound backlog cap
 }
 
 void report_wire_transport()
@@ -847,6 +942,7 @@ void report_wire_transport()
 
     auto report = [&](char const* name, auto&& make) {
         double rtt = 0.0, tput = 0.0;
+        std::uint64_t drops = 0;
         {
             auto net = make();
             rtt = wire_rtt_us(*net, rtt_rounds);
@@ -856,13 +952,15 @@ void report_wire_transport()
         {
             auto net = make();
             tput = wire_throughput_mb_s(*net, tp_frames, tp_bytes);
+            drops = backlog_drops(*net);
             net->drain();
             net->shutdown();
         }
         std::printf("BENCH {\"bench\":\"micro_wire_transport\","
                     "\"wire\":\"%s\",\"rtt_us\":%.2f,"
-                    "\"frame_bytes\":%zu,\"throughput_mb_s\":%.1f}\n",
-            name, rtt, tp_bytes, tput);
+                    "\"frame_bytes\":%zu,\"throughput_mb_s\":%.1f,"
+                    "\"backlog_drops\":%llu}\n",
+            name, rtt, tp_bytes, tput, static_cast<unsigned long long>(drops));
     };
 
     report("sim", [] {
@@ -895,6 +993,7 @@ int main(int argc, char** argv)
     report_receive_pipeline();
     report_timer_churn();
     report_peer_lookup_contention();
+    report_crc32c();
     report_wire_transport();
     return 0;
 }

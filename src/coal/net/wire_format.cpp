@@ -3,6 +3,10 @@
 #include <array>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace coal::net::wire {
 
 namespace {
@@ -25,6 +29,118 @@ struct crc_table
 };
 
 constexpr crc_table g_crc{};
+
+#if defined(__x86_64__)
+
+/// Appending `zeros` zero bytes to a message maps the raw (uninverted)
+/// CRC register c to a linear function of c; this tabulates it per byte
+/// of c.  It joins independently computed streams: the register after
+/// A‖B is shift_|B|(register after A) ^ (register of B from 0).
+struct zeros_shift
+{
+    std::array<std::array<std::uint32_t, 256>, 4> t{};
+
+    constexpr explicit zeros_shift(std::size_t zeros)
+    {
+        // Image of each single register bit, then XOR them per byte value.
+        std::array<std::uint32_t, 32> bit{};
+        for (int i = 0; i != 32; ++i)
+        {
+            std::uint32_t c = 1u << i;
+            for (std::size_t n = 0; n != zeros; ++n)
+                c = g_crc.t[c & 0xffu] ^ (c >> 8);
+            bit[i] = c;
+        }
+        for (int k = 0; k != 4; ++k)
+            for (std::uint32_t v = 0; v != 256; ++v)
+                for (int b = 0; b != 8; ++b)
+                    if ((v >> b) & 1u)
+                        t[k][v] ^= bit[8 * k + b];
+    }
+
+    [[nodiscard]] std::uint32_t operator()(std::uint32_t c) const noexcept
+    {
+        return t[0][c & 0xffu] ^ t[1][(c >> 8) & 0xffu] ^
+            t[2][(c >> 16) & 0xffu] ^ t[3][c >> 24];
+    }
+};
+
+// The crc32 instruction has a 3-cycle latency and 1-cycle throughput, so
+// three independent streams keep it busy.  Long blocks amortize the
+// joins; the short tier takes the 192..1535-byte remainders before the
+// serial tail.
+constexpr std::size_t long_block = 512;
+constexpr std::size_t short_block = 64;
+constexpr zeros_shift g_shift_long{long_block};
+constexpr zeros_shift g_shift_short{short_block};
+
+[[nodiscard]] std::uint64_t load_u64(unsigned char const* p) noexcept
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/// Consume whole 3×block groups from [p, p+size) into the raw register c.
+template <std::size_t Block>
+__attribute__((target("sse4.2"))) std::uint64_t crc_three_way(
+    std::uint64_t c, unsigned char const*& p, std::size_t& size,
+    zeros_shift const& shift) noexcept
+{
+    while (size >= 3 * Block)
+    {
+        std::uint64_t c1 = 0;
+        std::uint64_t c2 = 0;
+        for (std::size_t i = 0; i != Block; i += 8)
+        {
+            c = _mm_crc32_u64(c, load_u64(p + i));
+            c1 = _mm_crc32_u64(c1, load_u64(p + Block + i));
+            c2 = _mm_crc32_u64(c2, load_u64(p + 2 * Block + i));
+        }
+        c = shift(static_cast<std::uint32_t>(c)) ^ c1;
+        c = shift(static_cast<std::uint32_t>(c)) ^ c2;
+        p += 3 * Block;
+        size -= 3 * Block;
+    }
+    return c;
+}
+
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    void const* data, std::size_t size, std::uint32_t seed) noexcept
+{
+    auto const* p = static_cast<unsigned char const*>(data);
+    std::uint64_t c = static_cast<std::uint32_t>(~seed);
+    c = crc_three_way<long_block>(c, p, size, g_shift_long);
+    c = crc_three_way<short_block>(c, p, size, g_shift_short);
+    for (; size >= 8; p += 8, size -= 8)
+        c = _mm_crc32_u64(c, load_u64(p));
+    for (; size != 0; ++p, --size)
+        c = _mm_crc32_u8(static_cast<std::uint32_t>(c), *p);
+    return ~static_cast<std::uint32_t>(c);
+}
+
+#endif
+
+using crc_fn =
+    std::uint32_t (*)(void const*, std::size_t, std::uint32_t) noexcept;
+
+[[nodiscard]] crc_fn resolve_crc32c() noexcept
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sse4.2"))
+        return crc32c_sse42;
+#endif
+    return detail::crc32c_reference;
+}
+
+/// Resolved on first use, so a static initializer elsewhere that frames
+/// a message cannot observe an unresolved pointer.
+[[nodiscard]] crc_fn crc32c_impl() noexcept
+{
+    static crc_fn const fn = resolve_crc32c();
+    return fn;
+}
 
 void put_u16(std::uint8_t* p, std::uint16_t v) noexcept
 {
@@ -58,12 +174,27 @@ void put_u32(std::uint8_t* p, std::uint32_t v) noexcept
 std::uint32_t crc32c(
     void const* data, std::size_t size, std::uint32_t seed) noexcept
 {
+    return crc32c_impl()(data, size, seed);
+}
+
+namespace detail {
+
+std::uint32_t crc32c_reference(
+    void const* data, std::size_t size, std::uint32_t seed) noexcept
+{
     auto const* p = static_cast<std::uint8_t const*>(data);
     std::uint32_t c = ~seed;
     for (std::size_t i = 0; i != size; ++i)
         c = g_crc.t[(c ^ p[i]) & 0xffu] ^ (c >> 8);
     return ~c;
 }
+
+char const* crc32c_implementation() noexcept
+{
+    return crc32c_impl() == crc32c_reference ? "bytewise" : "sse4.2";
+}
+
+}    // namespace detail
 
 void encode_header(frame_header const& h, std::uint8_t* out) noexcept
 {

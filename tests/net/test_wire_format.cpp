@@ -10,8 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 using namespace coal;
@@ -54,20 +55,97 @@ serialization::byte_buffer make_frame(std::uint8_t kind, std::uint32_t src,
 
     serialization::byte_buffer bytes(header_size + payload.size());
     encode_header(h, bytes.data());
-    std::memcpy(bytes.data() + header_size, payload.data(), payload.size());
+    std::copy(payload.begin(), payload.end(), bytes.begin() + header_size);
     return bytes;
 }
+
+// Every CRC check runs against the dispatched function (the hardware path
+// on an SSE4.2 host) and the bytewise reference.
+using crc_fn =
+    std::uint32_t (*)(void const*, std::size_t, std::uint32_t) noexcept;
+
+crc_fn const crc_impls[] = {crc32c, detail::crc32c_reference};
 
 }    // namespace
 
 TEST(wire_format, crc32c_known_vectors)
 {
-    // RFC 3720 / iSCSI test vector: "123456789" -> 0xe3069283.
-    EXPECT_EQ(crc32c("123456789", 9), 0xe3069283u);
-    // All-zero block vector (32 zero bytes -> 0x8a9136aa).
+    // RFC 3720 (iSCSI) appendix B.4 vectors, plus the customary check
+    // value "123456789" -> 0xe3069283.
     std::uint8_t zeros[32] = {};
-    EXPECT_EQ(crc32c(zeros, sizeof zeros), 0x8a9136aau);
-    EXPECT_EQ(crc32c(nullptr, 0), 0u);
+    std::uint8_t ones[32];
+    std::uint8_t up[32];
+    std::uint8_t down[32];
+    for (int i = 0; i != 32; ++i)
+    {
+        ones[i] = 0xff;
+        up[i] = static_cast<std::uint8_t>(i);
+        down[i] = static_cast<std::uint8_t>(31 - i);
+    }
+    for (crc_fn crc : crc_impls)
+    {
+        EXPECT_EQ(crc("123456789", 9, 0), 0xe3069283u);
+        EXPECT_EQ(crc(zeros, sizeof zeros, 0), 0x8a9136aau);
+        EXPECT_EQ(crc(ones, sizeof ones, 0), 0x62a8ab43u);
+        EXPECT_EQ(crc(up, sizeof up, 0), 0x46dd794eu);
+        EXPECT_EQ(crc(down, sizeof down, 0), 0x113fdb5cu);
+        EXPECT_EQ(crc(nullptr, 0, 0), 0u);
+    }
+}
+
+TEST(wire_format, crc32c_dispatched_matches_reference_at_every_length)
+{
+    // Past both three-stream tiers (3x512 B, 3x64 B) and both tails, at
+    // every start alignment.
+    constexpr std::size_t max_len = 3 * 512 + 3 * 64 + 17;
+    std::mt19937 rng(7);
+    std::vector<std::uint8_t> bytes(max_len + 8);
+    for (auto& b : bytes)
+        b = static_cast<std::uint8_t>(rng());
+
+    for (std::size_t offset = 0; offset != 8; ++offset)
+        for (std::size_t len = 0; len <= max_len; ++len)
+        {
+            auto const seed = static_cast<std::uint32_t>(len * 2654435761u);
+            ASSERT_EQ(crc32c(bytes.data() + offset, len, seed),
+                detail::crc32c_reference(bytes.data() + offset, len, seed))
+                << "offset " << offset << " length " << len;
+        }
+}
+
+TEST(wire_format, crc32c_chains_through_the_seed)
+{
+    std::mt19937 rng(11);
+    std::vector<std::uint8_t> bytes(8192);
+    for (auto& b : bytes)
+        b = static_cast<std::uint8_t>(rng());
+
+    for (crc_fn crc : crc_impls)
+    {
+        std::uint32_t const whole = crc(bytes.data(), bytes.size(), 0);
+        for (std::size_t split :
+            {std::size_t(0), std::size_t(1), std::size_t(7), std::size_t(64),
+                std::size_t(1535), std::size_t(4096), bytes.size()})
+        {
+            std::uint32_t const a = crc(bytes.data(), split, 0);
+            EXPECT_EQ(crc(bytes.data() + split, bytes.size() - split, a),
+                whole)
+                << "split " << split;
+        }
+    }
+}
+
+TEST(wire_format, crc32c_names_its_implementation)
+{
+    std::string const impl = detail::crc32c_implementation();
+    EXPECT_TRUE(impl == "sse4.2" || impl == "bytewise") << impl;
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sse4.2"))
+    {
+        EXPECT_EQ(impl, "sse4.2");
+    }
+#endif
 }
 
 TEST(wire_format, roundtrip_single_frame)
