@@ -770,6 +770,82 @@ void report_peer_lookup_contention()
     }
 }
 
+// ---- buffer-pool fit -------------------------------------------------------
+//
+// Resident pool bytes per payload byte for the three bench_report parcel
+// shapes and their coalesced frames: the argument images, the encoded
+// frame and the flattened copy the reliability layer transmits, all held
+// at once as they are while a frame awaits its ack.  The pool's watermarks
+// throttle on resident bytes, so a fit near 1.0 means they see real load,
+// not size-class slack.
+
+struct pool_fit_shape
+{
+    char const* name;
+    std::size_t frame_parcels;
+    coal::serialization::shared_buffer (*arguments)(std::uint64_t idx);
+};
+
+void report_pool_fit()
+{
+    using coal::serialization::buffer_pool;
+    using coal::serialization::shared_buffer;
+
+    pool_fit_shape const shapes[] = {
+        {"toy", 128,
+            [](std::uint64_t idx) { return to_bytes(std::make_tuple(idx)); }},
+        {"parquet", 4,
+            [](std::uint64_t idx) {
+                return to_bytes(std::make_tuple(idx, std::uint32_t{1},
+                    std::uint64_t{0}, std::vector<std::complex<double>>(32)));
+            }},
+        {"wire", 16,
+            [](std::uint64_t idx) {
+                return to_bytes(
+                    std::make_tuple(idx, std::vector<std::uint8_t>(4096)));
+            }},
+    };
+
+    buffer_pool& pool = buffer_pool::global();
+    auto resident = [&pool] { return pool.stats().resident_bytes; };
+    for (pool_fit_shape const& shape : shapes)
+    {
+        std::uint64_t const r0 = resident();
+        std::vector<coal::parcel::parcel> batch;
+        std::uint64_t payload = 0;
+        for (std::size_t i = 0; i != shape.frame_parcels; ++i)
+        {
+            coal::parcel::parcel p;
+            p.dest = 1;
+            p.action = micro_noop_action::id();
+            p.arguments = shape.arguments(i);
+            payload += p.arguments.size();
+            batch.push_back(std::move(p));
+        }
+        std::uint64_t const r_args = resident();
+        auto const frame = coal::parcel::encode_message(batch);
+        std::uint64_t const r_frame = resident();
+        shared_buffer const flat = frame.flatten_copy();
+        std::uint64_t const r_flat = resident();
+
+        auto ratio = [](std::uint64_t held, std::uint64_t bytes) {
+            return bytes != 0 ?
+                static_cast<double>(held) / static_cast<double>(bytes) :
+                0.0;
+        };
+        std::printf("BENCH {\"bench\":\"micro_pool_fit\","
+                    "\"shape\":\"%s\",\"frame_parcels\":%zu,"
+                    "\"arg_bytes\":%llu,\"arg_fit\":%.3f,"
+                    "\"frame_bytes\":%zu,\"flat_fit\":%.3f,"
+                    "\"resident_per_payload_byte\":%.3f}\n",
+            shape.name, shape.frame_parcels,
+            static_cast<unsigned long long>(payload / shape.frame_parcels),
+            ratio(r_args - r0, payload), flat.size(),
+            ratio(r_flat - r_frame, flat.size()),
+            ratio(r_flat - r0, payload));
+    }
+}
+
 // ---- CRC32C ---------------------------------------------------------------
 //
 // Every socket frame's payload is checksummed on send and verified on
@@ -988,6 +1064,7 @@ int main(int argc, char** argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
+    report_pool_fit();
     report_zero_copy_pipeline();
     report_enqueue_contention();
     report_receive_pipeline();

@@ -393,6 +393,7 @@ bool parcelhandler::progress_send()
         bool down = false;
         bool dead = false;
         bool deferred = false;
+        bool released = false;
         std::uint64_t gen = 0;
         std::uint64_t deferred_bytes_after = 0;
         // All protocol work below holds the PEER's lock — two
@@ -401,6 +402,10 @@ bool parcelhandler::progress_send()
         {
             std::lock_guard lock(e.lock);
             peer_state& peer = live_locked(e);
+            released = job->released && job->released_gen == peer.stream_gen;
+            if (released)
+                peer.released_bytes -=
+                    std::min<std::uint64_t>(peer.released_bytes, job->bytes);
             if (membership_.enabled && peer.status == peer_status::dead)
             {
                 // Jobs already queued when the peer was declared dead (or
@@ -413,7 +418,7 @@ bool parcelhandler::progress_send()
                 {
                     down = true;
                 }
-                else if (should_defer_locked(peer, est))
+                else if (!released && should_defer_locked(peer, est))
                 {
                     // Window exhausted: park the job on the peer instead
                     // of handing it to the wire.  No sequence number is
@@ -471,6 +476,7 @@ bool parcelhandler::progress_send()
         serialization::wire_message frame = encode_message(job->parcels, hdr);
         serialization::shared_buffer flat;
         std::int64_t retransmit_at = 0;
+        std::vector<send_job> more;
         {
             // Register the frame before handing it to the transport so a
             // synchronous loopback ack always finds its entry.
@@ -516,9 +522,16 @@ bool parcelhandler::progress_send()
                 unacked_total_.fetch_add(1, std::memory_order_release);
                 maybe_trip_breaker_locked(dst, peer);
                 if (flow_.enabled)
+                {
+                    // The last released job is out: jobs deferred behind
+                    // it only for ordering may fit the window now.
+                    if (released && peer.released_bytes == 0)
+                        release_deferred_locked(peer, more, now);
                     update_link_pressure_locked(peer);
+                }
             }
         }
+        requeue_released(more);
         if (dead)
         {
             fail_job(delivery_error::peer_failed, std::move(*job));
@@ -1001,12 +1014,7 @@ void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
     }
 
     ring_.schedule(e, rearm);
-    for (auto& job : released)
-    {
-        outbound_.push(std::move(job));
-        deferred_sends_.fetch_sub(1, std::memory_order_release);
-        counters_.sends_released.fetch_add(1, std::memory_order_relaxed);
-    }
+    requeue_released(released);
 }
 
 void parcelhandler::schedule_ack_locked(
@@ -1363,12 +1371,7 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
     for (auto& flat : resends)
         transport_.send(
             here_, dst, serialization::wire_message(std::move(flat)));
-    for (auto& job : released)
-    {
-        outbound_.push(std::move(job));
-        deferred_sends_.fetch_sub(1, std::memory_order_release);
-        counters_.sends_released.fetch_add(1, std::memory_order_relaxed);
-    }
+    requeue_released(released);
     for (auto& job : failed_deferred)
     {
         fail_job(delivery_error::link_down, std::move(job));
@@ -1484,6 +1487,10 @@ std::uint64_t parcelhandler::advertised_credit_wire() const noexcept
 bool parcelhandler::should_defer_locked(
     peer_state const& peer, std::size_t bytes) const noexcept
 {
+    // Per-peer FIFO: never overtake an older job that is still deferred
+    // or released and waiting in the outbound queue.
+    if (!peer.deferred.empty() || peer.released_bytes != 0)
+        return true;
     if (peer.unacked_bytes == 0)
         return false;    // one frame may always fly: no-deadlock guarantee
     std::uint64_t const window =
@@ -1508,7 +1515,7 @@ void parcelhandler::release_deferred_locked(
     // Plan against the window as if each released job were already on the
     // wire — otherwise one grant would release the whole queue at once
     // and progress_send would immediately re-defer most of it.
-    std::uint64_t planned = peer.unacked_bytes;
+    std::uint64_t planned = peer.unacked_bytes + peer.released_bytes;
     bool any = false;
     while (!peer.deferred.empty())
     {
@@ -1518,6 +1525,9 @@ void parcelhandler::release_deferred_locked(
         planned += front.bytes;
         peer.deferred_bytes -=
             std::min<std::uint64_t>(peer.deferred_bytes, front.bytes);
+        peer.released_bytes += front.bytes;
+        front.released = true;
+        front.released_gen = peer.stream_gen;
         released.push_back(std::move(front));
         peer.deferred.pop_front();
         any = true;
@@ -1526,6 +1536,16 @@ void parcelhandler::release_deferred_locked(
         peer.starved_since_ns = 0;
     else if (any)
         peer.starved_since_ns = now;    // the window moved: not starved
+}
+
+void parcelhandler::requeue_released(std::vector<send_job>& released)
+{
+    for (auto& job : released)
+    {
+        outbound_.push(std::move(job));
+        deferred_sends_.fetch_sub(1, std::memory_order_release);
+        counters_.sends_released.fetch_add(1, std::memory_order_relaxed);
+    }
 }
 
 void parcelhandler::update_link_pressure_locked(peer_state& peer)
@@ -1668,6 +1688,7 @@ void parcelhandler::fence_peer_locked(
         out.deferred.push_back(std::move(job));
     peer.deferred.clear();
     peer.deferred_bytes = 0;
+    peer.released_bytes = 0;
     peer.starved_since_ns = 0;
     // Sender protocol state restarts from scratch.  The generation bump
     // voids any send job that already drew a sequence number from the old

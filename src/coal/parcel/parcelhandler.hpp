@@ -589,18 +589,23 @@ private:
     /// buffer-pool pressure and biased by one for the wire (never 0 when
     /// flow control is on — a grant of 0 would wedge the peer).
     [[nodiscard]] std::uint64_t advertised_credit_wire() const noexcept;
-    /// Would sending `bytes` more overrun the peer's window?  One frame
-    /// is always allowed in flight (unacked_bytes == 0), so a grant
-    /// smaller than a single frame cannot deadlock the link.
+    /// Must a fresh job of `bytes` wait?  It must while older jobs to the
+    /// peer are deferred or released-but-queued (per-stream FIFO), or
+    /// when it would overrun the window.  One frame is always allowed in
+    /// flight (unacked_bytes == 0), so a grant smaller than a single frame
+    /// cannot deadlock the link.
     [[nodiscard]] bool should_defer_locked(
         peer_state const& peer, std::size_t bytes) const noexcept;
     /// Is the link to this peer past its in-flight cap with the breaker
     /// open — i.e. in the link_down failure mode?
     [[nodiscard]] bool link_down_locked(peer_state const& peer) const noexcept;
     /// Move deferred jobs that now fit the window back to outbound_.
-    /// Appends them to `released`; the caller pushes after unlocking.
+    /// Appends them to `released`; the caller pushes after unlocking,
+    /// through requeue_released().
     void release_deferred_locked(
         peer_state& peer, std::vector<send_job>& released, std::int64_t now);
+    /// Push released jobs to outbound_ (peer lock not held).
+    void requeue_released(std::vector<send_job>& released);
     /// Recompute this link's pressure state from its in-flight + deferred
     /// bytes; maintains the lock-free pressured_links_ fast path.
     void update_link_pressure_locked(peer_state& peer);

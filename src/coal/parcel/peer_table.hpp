@@ -54,6 +54,12 @@ struct send_job
     /// Estimated wire bytes; stamped when the job is deferred so the
     /// release path need not re-measure it.
     std::size_t bytes = 0;
+    /// Set when a window release moved the job from the peer's deferred
+    /// queue back to the outbound queue: it was planned into the window
+    /// then, so it goes out without a second window check.  Honoured only
+    /// while the peer's stream_gen still equals `released_gen`.
+    bool released = false;
+    std::uint64_t released_gen = 0;
 };
 
 /// An outbound frame awaiting acknowledgement; the encoded frame is
@@ -121,6 +127,10 @@ struct peer_state
     bool has_credit = false;    ///< false until the first advertisement
     std::deque<send_job> deferred;      ///< jobs awaiting window space
     std::uint64_t deferred_bytes = 0;
+    /// Bytes of jobs released from `deferred` that wait in the outbound
+    /// queue.  While they or `deferred` are non-empty, a newer job to this
+    /// peer queues behind them: the link keeps per-stream FIFO order.
+    std::uint64_t released_bytes = 0;
     /// When continuous credit starvation on this link began (0 = not
     /// starving).  Feeds the slow-peer breaker trip.
     std::int64_t starved_since_ns = 0;

@@ -80,16 +80,14 @@ detail::slab* buffer_pool::try_acquire(std::size_t min_bytes)
 
 detail::slab* buffer_pool::acquire_impl(std::size_t min_bytes, bool capped)
 {
-    for (std::size_t cls = 0; cls < num_classes; ++cls)
+    std::size_t const cls = class_index(min_bytes);
+    if (cls < num_classes)
     {
-        if (class_capacity(cls) < min_bytes)
-            continue;
-
+        std::size_t const capacity = class_capacity(cls);
         outstanding_.fetch_add(1, std::memory_order_relaxed);
         raise_peak(resident_bytes_peak_,
-            resident_bytes_.fetch_add(
-                class_capacity(cls), std::memory_order_relaxed) +
-                class_capacity(cls));
+            resident_bytes_.fetch_add(capacity, std::memory_order_relaxed) +
+                capacity);
 
         {
             std::lock_guard<spinlock> guard(classes_[cls].lock);
@@ -105,7 +103,7 @@ detail::slab* buffer_pool::acquire_impl(std::size_t min_bytes, bool capped)
 
         misses_.fetch_add(1, std::memory_order_relaxed);
         return detail::allocate_slab(
-            this, class_capacity(cls), static_cast<std::uint32_t>(cls));
+            this, capacity, static_cast<std::uint32_t>(cls));
     }
 
     // Larger than the top class: plain heap slab, recycled straight to
@@ -143,8 +141,9 @@ void buffer_pool::recycle(detail::slab* s) noexcept
     if (s->size_class != heap_class)
     {
         size_class_state& cls = classes_[s->size_class];
+        std::size_t const limit = free_list_limit(s->size_class);
         std::lock_guard<spinlock> guard(cls.lock);
-        if (cls.free.size() < max_free_per_class_)
+        if (cls.free.size() < limit)
         {
             cls.free.push_back(s);
             return;

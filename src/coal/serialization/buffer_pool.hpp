@@ -5,12 +5,16 @@
 ///
 /// Every byte that travels through the parcel pipeline lives in a *slab*:
 /// a single heap block holding an intrusive atomic reference count followed
-/// by the payload storage.  Slabs are acquired from a small set of size
-/// classes (256 B .. 1 MiB, geometric); when the last reference to a slab
-/// drops, the slab returns to its class's capped free list instead of the
-/// heap, so steady-state communication performs no allocations at all.
-/// Requests larger than the top class fall back to plain heap slabs (the
-/// pool never fails); the fallback is counted so benchmarks can see it.
+/// by the payload storage.  Slabs are acquired from 49 size classes,
+/// 256 B .. 1 MiB in quarter-power-of-two steps (256, 320, 384, 448, 512,
+/// 640, ...), so a request above 256 B never pins more than 25 % slack and
+/// the resident-byte watermarks count roughly what is really held.  The
+/// class of a request is found in O(1) from its bit width.  When the last
+/// reference to a slab drops, the slab returns to its class's capped free
+/// list instead of the heap, so steady-state communication performs no
+/// allocations at all.  Requests larger than the top class fall back to
+/// plain heap slabs (the pool never fails); the fallback is counted so
+/// benchmarks can see it.
 ///
 /// The pool also owns the pipeline-wide copy accounting: layers report
 /// payload bytes *copied* (memcpy into a frame or out of the wire) versus
@@ -35,6 +39,7 @@
 #include <coal/common/spinlock.hpp>
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -96,9 +101,21 @@ struct buffer_pool_stats
 class buffer_pool
 {
 public:
-    /// Size classes: 256 B, 1 KiB, 4 KiB, ... 1 MiB (×4 geometric).
-    static constexpr std::size_t num_classes = 7;
+    /// Size classes: 256 B .. 1 MiB in quarter-power-of-two steps.  Each
+    /// octave [2^k, 2^(k+1)) holds 2^k × {1, 1.25, 1.5, 1.75}: twelve
+    /// octaves from 256 B, plus the 1 MiB top class.
+    static constexpr std::size_t num_classes = 49;
     static constexpr std::uint32_t heap_class = 0xffffffffu;
+
+    /// Per-class free-list byte budget, in units of max_free_per_class: a
+    /// class of capacity C caches at most
+    /// max_free_per_class × min(1, free_list_span / C) slabs.  Small
+    /// classes keep the full slab count; large ones share a byte budget,
+    /// which keeps the worst-case cached bytes of all 49 classes
+    /// (≤ max_free_per_class × Σ min(C, 56 KiB); 79.6 MiB at the default
+    /// 64) below the 85.3 MiB of the former seven ×4 classes with 64
+    /// slabs each.
+    static constexpr std::size_t free_list_span = 56 * 1024;
 
     explicit buffer_pool(std::size_t max_free_per_class = 64);
     ~buffer_pool();
@@ -113,7 +130,32 @@ public:
     [[nodiscard]] static constexpr std::size_t class_capacity(
         std::size_t cls) noexcept
     {
-        return std::size_t(256) << (2 * cls);
+        return (4 + cls % 4) << (6 + cls / 4);
+    }
+
+    /// Index of the smallest class whose capacity is >= min_bytes, or
+    /// num_classes when the request exceeds the top class.  O(1): above
+    /// 256 B the bit width of (min_bytes - 1) picks the octave and its two
+    /// bits below the leading one pick the quarter step.
+    [[nodiscard]] static constexpr std::size_t class_index(
+        std::size_t min_bytes) noexcept
+    {
+        if (min_bytes <= class_capacity(0))
+            return 0;
+        std::size_t const m = min_bytes - 1;
+        std::size_t const shift =
+            static_cast<std::size_t>(std::bit_width(m)) - 3;
+        std::size_t const cls = 4 * shift + (m >> shift) - 27;
+        return cls < num_classes ? cls : num_classes;
+    }
+
+    /// Most slabs the free list of class `cls` keeps (see free_list_span).
+    [[nodiscard]] std::size_t free_list_limit(std::size_t cls) const noexcept
+    {
+        std::size_t const cap = class_capacity(cls);
+        return cap <= free_list_span ?
+            max_free_per_class_ :
+            max_free_per_class_ * free_list_span / cap;
     }
 
     /// A slab with capacity >= min_bytes and refcount 1.  Never fails:

@@ -4,8 +4,11 @@
 #include <coal/parcel/action.hpp>
 #include <coal/parcel/action_registry.hpp>
 
+#include <coal/serialization/buffer_pool.hpp>
+
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,11 +31,17 @@ void test_fire_and_forget(int x)
     g_side_effect = x;
 }
 
+std::size_t test_echo_bytes(std::uint64_t, std::vector<std::uint8_t> payload)
+{
+    return payload.size();
+}
+
 }    // namespace
 
 COAL_PLAIN_ACTION(test_add, test_add_action);
 COAL_PLAIN_ACTION(test_concat, test_concat_action);
 COAL_PLAIN_ACTION(test_fire_and_forget, test_fire_and_forget_action);
+COAL_PLAIN_ACTION(test_echo_bytes, test_echo_bytes_action);
 
 namespace {
 
@@ -125,6 +134,20 @@ TEST(Action, MarshalUnmarshalInvoke)
     ctx.put_parcel = [](parcel&&) { ADD_FAILURE() << "no continuation"; };
 
     test_add_action::invoke(ctx, std::move(p));    // must not crash
+}
+
+// The bulk-echo argument shape (an id plus a 4 KiB payload): its argument
+// image must not pin a slab more than a quarter larger than itself, or
+// the pool's resident-byte watermarks count slack as load.
+TEST(Action, BulkArgumentsPinASlabWithinAQuarterOfTheirImage)
+{
+    shared_buffer const args = test_echo_bytes_action::make_arguments(
+        std::uint64_t{7}, std::vector<std::uint8_t>(4096, 0x5a));
+    ASSERT_NE(args.slab(), nullptr);
+    EXPECT_GT(args.size(), 4096u);
+    EXPECT_LE(args.slab()->capacity * 4, args.size() * 5)
+        << "image " << args.size() << " B pinned a "
+        << args.slab()->capacity << " B slab";
 }
 
 TEST(Action, ContinuationProducesResponseParcel)

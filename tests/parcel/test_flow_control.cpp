@@ -30,9 +30,19 @@ int flow_record(int x)
     return x;
 }
 
+std::mutex g_order_lock;
+std::vector<std::uint64_t> g_order;
+
+void flow_order_record(std::uint64_t ticket)
+{
+    std::lock_guard lock(g_order_lock);
+    g_order.push_back(ticket);
+}
+
 }    // namespace
 
 COAL_PLAIN_ACTION(flow_record, flow_record_action);
+COAL_PLAIN_ACTION(flow_order_record, flow_order_record_action);
 
 namespace {
 
@@ -205,6 +215,45 @@ TEST(FlowControl, WindowExhaustionDefersAndReleasesWithoutLoss)
     EXPECT_GT(h.ph0.counters().credit_updates.load(), 0u);
     EXPECT_EQ(h.ph0.counters().parcels_shed.load(), 0u);
     EXPECT_EQ(h.shed_seen.load(), 0u);
+}
+
+TEST(FlowControl, DeferredSendsKeepTicketOrder)
+{
+    // One ticketed stream through a 512 B window: most batches defer, and
+    // released jobs re-enter the outbound queue behind newer ones.  Each
+    // peer's deferred and released jobs must still go out before any
+    // newer job to that peer, so the receiver executes in ticket order.
+    flow_params flow = tight_flow();
+    flow.link_inflight_cap_bytes = 64 << 20;    // never link_down
+    flow_harness h(fault_plan{}, flow);
+    {
+        std::lock_guard lock(g_order_lock);
+        g_order.clear();
+    }
+
+    constexpr std::uint64_t n = 3000;
+    for (std::uint64_t seq = 0; seq != n; ++seq)
+    {
+        parcel p;
+        p.source = 0;
+        p.dest = 1;
+        p.action = flow_order_record_action::id();
+        p.arguments = flow_order_record_action::make_arguments(seq);
+        std::vector<parcel> batch;
+        batch.push_back(std::move(p));
+        h.ph0.send_message(
+            1, std::move(batch), coal::parcel::send_ticket{1, seq});
+    }
+    h.settle();
+
+    EXPECT_GT(h.ph0.counters().sends_deferred.load(), 0u);
+    std::lock_guard lock(g_order_lock);
+    ASSERT_EQ(g_order.size(), n);
+    std::size_t inversions = 0;
+    for (std::size_t i = 1; i != g_order.size(); ++i)
+        if (g_order[i] < g_order[i - 1])
+            ++inversions;
+    EXPECT_EQ(inversions, 0u) << "parcels executed out of ticket order";
 }
 
 TEST(FlowControl, DeferredSendsAreVisibleInPendingSends)

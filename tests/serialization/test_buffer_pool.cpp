@@ -24,10 +24,17 @@ using coal::serialization::detail::slab_release;
 TEST(BufferPool, SizeClassesAreGeometric)
 {
     EXPECT_EQ(buffer_pool::class_capacity(0), 256u);
-    EXPECT_EQ(buffer_pool::class_capacity(1), 1024u);
-    EXPECT_EQ(buffer_pool::class_capacity(2), 4096u);
+    EXPECT_EQ(buffer_pool::class_capacity(1), 320u);
+    EXPECT_EQ(buffer_pool::class_capacity(2), 384u);
+    EXPECT_EQ(buffer_pool::class_capacity(3), 448u);
+    EXPECT_EQ(buffer_pool::class_capacity(4), 512u);
+    EXPECT_EQ(buffer_pool::class_capacity(5), 640u);
     EXPECT_EQ(
         buffer_pool::class_capacity(buffer_pool::num_classes - 1), 1u << 20);
+    // Quarter steps: every octave doubles in four classes.
+    for (std::size_t cls = 4; cls != buffer_pool::num_classes; ++cls)
+        EXPECT_EQ(buffer_pool::class_capacity(cls),
+            2 * buffer_pool::class_capacity(cls - 4));
 }
 
 TEST(BufferPool, AcquireRoundsUpToClassCapacity)
@@ -36,7 +43,7 @@ TEST(BufferPool, AcquireRoundsUpToClassCapacity)
     slab* a = pool.acquire(1);
     slab* b = pool.acquire(257);
     EXPECT_EQ(a->capacity, 256u);
-    EXPECT_EQ(b->capacity, 1024u);
+    EXPECT_EQ(b->capacity, 320u);
     EXPECT_EQ(a->refs.load(), 1u);
     slab_release(a);
     slab_release(b);
@@ -102,6 +109,69 @@ TEST(BufferPool, FreeListIsCappedExcessGoesToHeap)
     for (slab* s : slabs)
         slab_release(s);
     EXPECT_EQ(pool.cached(), 4u);
+}
+
+// Every class edge ±1 B: the O(1) index agrees with a linear scan over
+// the classes, and above 256 B the slab never carries 25 % slack.
+TEST(BufferPool, SlackBoundedAtEveryClassEdge)
+{
+    auto scan = [](std::size_t n) {
+        std::size_t cls = 0;
+        while (cls != buffer_pool::num_classes &&
+            buffer_pool::class_capacity(cls) < n)
+            ++cls;
+        return cls;
+    };
+    buffer_pool pool;
+    for (std::size_t cls = 0; cls != buffer_pool::num_classes; ++cls)
+    {
+        std::size_t const edge = buffer_pool::class_capacity(cls);
+        for (std::size_t const n : {edge - 1, edge, edge + 1})
+        {
+            std::size_t const idx = buffer_pool::class_index(n);
+            ASSERT_EQ(idx, scan(n)) << "request " << n;
+            if (idx == buffer_pool::num_classes)
+                continue;    // above the top class: heap fallback
+            std::size_t const capacity = buffer_pool::class_capacity(idx);
+            EXPECT_GE(capacity, n);
+            if (n > 256)
+            {
+                EXPECT_LT(capacity * 4, n * 5) << "request " << n;
+            }
+            slab* s = pool.acquire(n);
+            EXPECT_EQ(s->capacity, capacity);
+            EXPECT_EQ(s->size_class, idx);
+            slab_release(s);
+        }
+    }
+    EXPECT_EQ(buffer_pool::class_index(0), 0u);
+    EXPECT_EQ(buffer_pool::class_index((1u << 20) + 1),
+        buffer_pool::num_classes);
+}
+
+// The free lists' worst case — every list full — stays within what the
+// former seven ×4 classes (256 B .. 1 MiB) could cache at 64 slabs each.
+TEST(BufferPool, FreeListBudgetStaysUnderTheGeometricBound)
+{
+    buffer_pool pool;    // default: 64 slabs per class
+    std::size_t worst = 0;
+    for (std::size_t cls = 0; cls != buffer_pool::num_classes; ++cls)
+        worst += pool.free_list_limit(cls) * buffer_pool::class_capacity(cls);
+    std::size_t geometric = 0;
+    for (std::size_t cls = 0; cls != 7; ++cls)
+        geometric += 64 * (std::size_t(256) << (2 * cls));
+    EXPECT_LE(worst, geometric);
+    EXPECT_EQ(pool.free_list_limit(0), 64u);
+
+    // Recycling honours the per-class limit for the top class too.
+    std::size_t const top = buffer_pool::num_classes - 1;
+    std::vector<slab*> slabs;
+    for (int i = 0; i != 8; ++i)
+        slabs.push_back(pool.acquire(buffer_pool::class_capacity(top)));
+    for (slab* s : slabs)
+        slab_release(s);
+    EXPECT_EQ(pool.cached(), pool.free_list_limit(top));
+    EXPECT_LT(pool.free_list_limit(top), 8u);
 }
 
 TEST(BufferPool, CopyAccountingSeams)
@@ -175,15 +245,15 @@ TEST(BufferPool, ResidentBytesTrackLiveSlabsNotFreeLists)
     EXPECT_EQ(pool.stats().resident_bytes, 0u);
 
     slab* a = pool.acquire(100);     // 256 B class
-    slab* b = pool.acquire(5000);    // 16 KiB class
-    EXPECT_EQ(pool.stats().resident_bytes, 256u + 16384u);
-    EXPECT_EQ(pool.stats().resident_bytes_peak, 256u + 16384u);
+    slab* b = pool.acquire(5000);    // 5 KiB class
+    EXPECT_EQ(pool.stats().resident_bytes, 256u + 5120u);
+    EXPECT_EQ(pool.stats().resident_bytes_peak, 256u + 5120u);
 
     slab_release(a);
     slab_release(b);
     // Free-listed slabs are cached, not resident; the peak stays.
     EXPECT_EQ(pool.stats().resident_bytes, 0u);
-    EXPECT_EQ(pool.stats().resident_bytes_peak, 256u + 16384u);
+    EXPECT_EQ(pool.stats().resident_bytes_peak, 256u + 5120u);
 }
 
 TEST(BufferPool, PressureStatesFollowTheWatermarks)
@@ -199,7 +269,7 @@ TEST(BufferPool, PressureStatesFollowTheWatermarks)
     slab* a = pool.acquire(1024);
     EXPECT_EQ(pool.pressure(), coal::pressure_state::soft);
 
-    slab* b = pool.acquire(40 * 1024);    // 64 KiB class: over the line
+    slab* b = pool.acquire(40 * 1024);    // 40 KiB class: over the line
     EXPECT_EQ(pool.pressure(), coal::pressure_state::critical);
 
     slab_release(b);
