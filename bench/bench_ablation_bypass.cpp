@@ -40,7 +40,7 @@ double mean_latency_us(bool bypass, unsigned requests,
     // The long task holds one of locality 0's workers until the requests
     // are done; the requester runs on the other.  It sleeps rather than
     // spins: a worker inside a task is busy to the scheduler either way,
-    // and a spinning task takes a vCPU from the network and timer threads
+    // and a spinning task takes a vCPU from the network threads
     // on a small host (bypass-on latency then read 0.2-2.5 ms instead of
     // 0.14 ms on a 4-vCPU VM).
     std::atomic<bool> started{false};

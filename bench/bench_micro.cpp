@@ -1,7 +1,7 @@
 /// \file bench_micro.cpp
 /// google-benchmark microbenchmarks for the substrate the experiments
 /// stand on: serialization, message framing, scheduler dispatch, future
-/// round trips, counter queries, histogram updates and timer churn.
+/// round trips, counter queries and histogram updates.
 
 #include <coal/apps/toy_app.hpp>
 #include <coal/common/histogram.hpp>
@@ -22,7 +22,6 @@
 #include <coal/serialization/buffer_pool.hpp>
 #include <coal/threading/future.hpp>
 #include <coal/threading/scheduler.hpp>
-#include <coal/timing/deadline_timer.hpp>
 #include <coal/trace/tracer.hpp>
 
 #include <benchmark/benchmark.h>
@@ -191,17 +190,6 @@ void BM_CounterQuery(benchmark::State& state)
 }
 BENCHMARK(BM_CounterQuery);
 
-void BM_TimerScheduleCancel(benchmark::State& state)
-{
-    coal::timing::deadline_timer_service timers;
-    for (auto _ : state)
-    {
-        auto id = timers.schedule_after(1000000, [] {});
-        timers.cancel(id);
-    }
-}
-BENCHMARK(BM_TimerScheduleCancel);
-
 void BM_SpinlockUncontended(benchmark::State& state)
 {
     coal::spinlock lock;
@@ -350,7 +338,7 @@ std::vector<coal::parcel::parcel> make_parcels(
 /// snapshot (the old shared_params), one mutex over the whole queue map
 /// (batch hand-off under the lock), the old global-spinlock arrival
 /// statistics, byte accounting, and the trace hook — everything the old
-/// enqueue did per parcel except arming the flush timer (first parcel
+/// enqueue did per parcel except arming the flush deadline (first parcel
 /// per destination only, so omitting it favours the baseline and keeps
 /// the recorded comparison conservative).
 struct global_mutex_coalescer
@@ -449,10 +437,8 @@ void report_enqueue_contention()
         cfg.num_workers = 1;
         coal::threading::scheduler sched(cfg);
         coal::parcel::parcelhandler parcels(0, transport, sched);
-        coal::timing::deadline_timer_service timers;
         coal::coalescing::coalescing_message_handler handler("bench",
-            parcels,
-            timers, std::make_shared<coal::coalescing::shared_params>(params),
+            parcels, std::make_shared<coal::coalescing::shared_params>(params),
             std::make_shared<coal::coalescing::coalescing_counters>());
         return run_producers(threads, spread, per_thread,
             [&](coal::parcel::parcel&& p) { handler.enqueue(std::move(p)); });
@@ -629,66 +615,6 @@ void report_receive_pipeline()
                 workers, batch, batched, legacy,
                 legacy > 0 ? batched / legacy : 0.0);
         }
-    }
-}
-
-// ---- timer wheel churn report --------------------------------------------
-
-void report_timer_churn()
-{
-    for (unsigned threads : {1u, 4u})
-    {
-        coal::timing::deadline_timer_service timers;
-        constexpr std::size_t per_thread = 50000;
-        std::atomic<bool> start{false};
-        std::vector<std::thread> workers;
-        for (unsigned t = 0; t != threads; ++t)
-        {
-            workers.emplace_back([&] {
-                while (!start.load(std::memory_order_acquire))
-                    coal::cpu_relax();
-                for (std::size_t i = 0; i != per_thread; ++i)
-                {
-                    auto id = timers.schedule_after(1000000, [] {});
-                    timers.cancel(id);
-                }
-            });
-        }
-        std::int64_t const t0 = coal::now_ns();
-        start.store(true, std::memory_order_release);
-        for (auto& w : workers)
-            w.join();
-        std::int64_t const t1 = coal::now_ns();
-        double const pairs_per_sec =
-            static_cast<double>(threads * per_thread) * 1e9 /
-            static_cast<double>(t1 - t0);
-        std::printf("BENCH {\"bench\":\"micro_timer_churn\",\"threads\":%u,"
-                    "\"schedule_cancel_pairs_per_sec\":%.0f}\n",
-            threads, pairs_per_sec);
-    }
-
-    // Fire throughput + accuracy under a bursty load: 20k timers spread
-    // over 50ms of deadlines, all landing in the wheel's level 0.
-    {
-        coal::timing::deadline_timer_service timers;
-        constexpr std::size_t count = 20000;
-        std::atomic<std::size_t> fired{0};
-        std::int64_t const t0 = coal::now_ns();
-        for (std::size_t i = 0; i != count; ++i)
-        {
-            timers.schedule_after(1000 + static_cast<std::int64_t>(i % 50000),
-                [&] { fired.fetch_add(1, std::memory_order_relaxed); });
-        }
-        while (fired.load(std::memory_order_acquire) != count)
-            std::this_thread::yield();
-        std::int64_t const t1 = coal::now_ns();
-        auto const stats = timers.stats();
-        std::printf("BENCH {\"bench\":\"micro_timer_fire\",\"timers\":%zu,"
-                    "\"fires_per_sec\":%.0f,\"mean_lateness_us\":%.1f,"
-                    "\"max_lateness_us\":%.1f}\n",
-            count,
-            static_cast<double>(count) * 1e9 / static_cast<double>(t1 - t0),
-            stats.mean_lateness_us, stats.max_lateness_us);
     }
 }
 
@@ -1068,7 +994,6 @@ int main(int argc, char** argv)
     report_zero_copy_pipeline();
     report_enqueue_contention();
     report_receive_pipeline();
-    report_timer_churn();
     report_peer_lookup_contention();
     report_crc32c();
     report_wire_transport();

@@ -2,6 +2,7 @@
 
 #include <coal/common/assert.hpp>
 #include <coal/common/logging.hpp>
+#include <coal/common/stopwatch.hpp>
 #include <coal/trace/tracer.hpp>
 
 #include <algorithm>
@@ -22,11 +23,10 @@ constexpr std::size_t inter_nparcels_factor = 8;
 }    // namespace
 
 coalescing_message_handler::coalescing_message_handler(std::string name,
-    parcel::parcelhandler& parcels, timing::deadline_timer_service& timers,
-    shared_params_ptr params, std::shared_ptr<coalescing_counters> counters)
+    parcel::parcelhandler& parcels, shared_params_ptr params,
+    std::shared_ptr<coalescing_counters> counters)
   : name_(std::move(name))
   , parcels_(parcels)
-  , timers_(timers)
   , params_(std::move(params))
   , counters_(std::move(counters))
 {
@@ -38,14 +38,11 @@ coalescing_message_handler::~coalescing_message_handler()
 {
     // Disarm: enqueues that acquire a shard lock after flush() released
     // it observe stopped_ (the store below happens-before flush()'s
-    // critical sections) and send directly without arming timers.
+    // critical sections) and send directly without queueing.  No
+    // flush_due() can still be running: the parcelhandler calls it
+    // through a shared_ptr copy, which keeps this handler alive.
     stopped_.store(true, std::memory_order_release);
     flush();
-    // A timer callback that already popped its entry cannot be
-    // cancelled; wait until the timer thread is out of callbacks so none
-    // can touch this handler post-destruction.  (Safe: no shard lock is
-    // held here, so an in-flight on_timer can complete.)
-    timers_.synchronize();
 }
 
 coalescing_message_handler::destination_queue&
@@ -61,12 +58,7 @@ coalescing_message_handler::queue_for_locked(
 coalescing_message_handler::detached_batch
 coalescing_message_handler::detach_batch_locked(destination_queue& queue)
 {
-    if (queue.timer.valid())
-    {
-        timers_.cancel(queue.timer);
-        queue.timer = {};
-    }
-    ++queue.epoch;    // a late timer for the old epoch becomes a no-op
+    queue.deadline_ns = no_deadline;
     queue.queued_bytes = 0;
     detached_batch batch;
     batch.parcels = std::exchange(queue.parcels, {});
@@ -108,7 +100,7 @@ std::uint32_t coalescing_message_handler::resolve_target(
     if (parcels_.all_peers_live())
         return first + preferred;
     // Self-healing rotation: when the relay dies the failure detector
-    // flips its status and the next resolution (flush, retimer, or the
+    // flips its status and the next resolution (a flush, or the
     // death-path flush_message_handlers) lands on the next live member.
     for (std::uint32_t i = 0; i != size; ++i)
     {
@@ -211,13 +203,14 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
 
     auto& shard = shard_for(route);
     std::optional<detached_batch> flush_now;
+    std::int64_t armed = no_deadline;
     {
         std::unique_lock lock(shard.lock);
         auto& queue = queue_for_locked(shard, route);
 
         if (stopped_.load(std::memory_order_acquire))
         {
-            // Tear-down path: do not arm new timers, send directly.
+            // Tear-down path: do not queue, send directly.
             detached_batch single;
             single.ticket = {queue.stream, queue.next_ticket++};
             lock.unlock();
@@ -252,18 +245,10 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
             trace::event_kind::coalescing_queued, action,
             queue.parcels.size());
 
-        if (queue.parcels.size() == 1)
-        {
-            // First parcel: arm the flush timer for this epoch.
-            std::uint64_t const epoch = queue.epoch;
-            queue.timer = timers_.schedule_after(params.interval_us,
-                [this, route, epoch] { on_timer(route, epoch); });
-        }
-
         if (queue.parcels.size() >= params.nparcels ||
             queue.queued_bytes >= params.max_buffer_bytes)
         {
-            // Queue full: stop the flush timer, detach; the hand-off to
+            // Queue full: detach (dropping its deadline); the hand-off to
             // the parcelhandler happens after the lock is dropped.
             size_flushes_.fetch_add(1, std::memory_order_relaxed);
             trace::tracer::global().record(parcels_.here(),
@@ -271,51 +256,45 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
             flush_now = detach_batch_locked(queue);
             flush_now->gauge = flush_now->parcels.size();
         }
+        else if (queue.parcels.size() == 1)
+        {
+            // First parcel: arm the queue's flush deadline.
+            queue.deadline_ns = now_ns() + params.interval_us * 1000;
+            armed = queue.deadline_ns;
+        }
     }
 
     if (flush_now)
         send_batch(route, std::move(*flush_now));
-}
-
-void coalescing_message_handler::on_timer(
-    std::uint32_t route, std::uint64_t epoch)
-{
-    auto& shard = shard_for(route);
-    detached_batch batch;
-    {
-        std::lock_guard lock(shard.lock);
-        auto it = shard.queues.find(route);
-        if (it == shard.queues.end())
-            return;
-        auto& queue = it->second;
-        // The epoch check resolves the race with a size-triggered flush
-        // that won the lock before this callback ran.
-        if (queue.epoch != epoch || queue.parcels.empty())
-            return;
-        timer_flushes_.fetch_add(1, std::memory_order_relaxed);
-        trace::tracer::global().record(parcels_.here(),
-            trace::event_kind::flush_timeout, queue.parcels.front().action,
-            queue.parcels.size());
-        queue.timer = {};    // it just fired; nothing to cancel
-        batch = detach_batch_locked(queue);
-        batch.gauge = batch.parcels.size();
-    }
-    send_batch(route, std::move(batch));
+    else if (armed != no_deadline)
+        parcels_.arm_flush_deadline(armed);
 }
 
 void coalescing_message_handler::flush()
 {
-    flush_all(trace::event_kind::flush_forced);
+    flush_until(no_deadline, trace::event_kind::flush_forced);
 }
 
 void coalescing_message_handler::flush_idle()
 {
     idle_flushes_.fetch_add(
-        flush_all(trace::event_kind::flush_idle), std::memory_order_relaxed);
+        flush_until(no_deadline, trace::event_kind::flush_idle),
+        std::memory_order_relaxed);
 }
 
-std::size_t coalescing_message_handler::flush_all(trace::event_kind kind)
+std::int64_t coalescing_message_handler::flush_due(std::int64_t now_ns)
 {
+    std::int64_t next = no_deadline;
+    timer_flushes_.fetch_add(
+        flush_until(now_ns, trace::event_kind::flush_timeout, &next),
+        std::memory_order_relaxed);
+    return next;
+}
+
+std::size_t coalescing_message_handler::flush_until(
+    std::int64_t cutoff, trace::event_kind kind, std::int64_t* next)
+{
+    bool const deadline_flush = kind == trace::event_kind::flush_timeout;
     std::size_t flushed = 0;
     for (auto& shard : shards_)
     {
@@ -331,6 +310,14 @@ std::size_t coalescing_message_handler::flush_all(trace::event_kind kind)
             {
                 if (queue.parcels.empty())
                     continue;
+                if (queue.deadline_ns > cutoff)
+                {
+                    if (next != nullptr)
+                        *next = std::min(*next, queue.deadline_ns);
+                    continue;
+                }
+                if (deadline_flush)
+                    parcels_.note_deadline_flush(cutoff - queue.deadline_ns);
                 trace::tracer::global().record(parcels_.here(), kind,
                     queue.parcels.front().action, queue.parcels.size());
                 auto batch = detach_batch_locked(queue);
@@ -355,12 +342,7 @@ std::vector<parcel::parcel> coalescing_message_handler::purge()
         {
             if (queue.parcels.empty())
                 continue;
-            if (queue.timer.valid())
-            {
-                timers_.cancel(queue.timer);
-                queue.timer = {};
-            }
-            ++queue.epoch;    // a pending timer for the old epoch no-ops
+            queue.deadline_ns = no_deadline;
             queue.queued_bytes = 0;
             shard.gauge.fetch_sub(
                 queue.parcels.size(), std::memory_order_release);

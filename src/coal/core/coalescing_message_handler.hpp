@@ -11,29 +11,34 @@
 ///       send immediately (one parcel per message)
 ///   if tslp > interval and the queue is empty:
 ///       send immediately              // sparse-traffic bypass (§II-B):
-///                                     // waiting out the timer would only
-///                                     // add latency when traffic is sparse
+///                                     // waiting out the deadline would
+///                                     // only add latency when traffic is
+///                                     // sparse
 ///   queue the parcel
-///   if it is the first in the queue:  start the flush timer (interval)
+///   if it is the first in the queue:  arm the flush deadline (interval)
 ///   if the queue reached nparcels, or the queued payload reached
-///   max_buffer_bytes:                 stop the timer, flush
+///   max_buffer_bytes:                 flush (the deadline goes with it)
 ///
-/// Besides the paper's size and timer triggers, a third one fires when
+/// Besides the paper's size and deadline triggers, a third one fires when
 /// the locality goes idle (flush_idle, called by the parcelhandler's idle
 /// hook): no worker of the locality is running a task, so nothing local
-/// can add to a batch and waiting out the timer would only add latency —
+/// can add to a batch and waiting out the deadline would only add latency —
 /// the idle flush of Charm++'s TRAM.  The rule is locality-idle, not
 /// worker-idle: the queues are shared by all of the locality's workers,
 /// so one idle worker must not flush while a sibling still produces.  A
 /// worker blocked in help-while-wait with nothing to run counts as idle,
 /// which is what sends a ping-pong's request at once instead of after
-/// the timer (the tslp bypass misses it: a fast round trip makes the next
-/// request look dense).
+/// the deadline (the tslp bypass misses it: a fast round trip makes the
+/// next request look dense).
 ///
-/// The flush timer runs on the shared deadline_timer_service (dedicated
-/// thread, µs resolution — §II-B's accuracy discussion).  The race
-/// between a size-triggered flush and the timer firing is resolved with
-/// a per-queue epoch: a timer only flushes the epoch it was armed for.
+/// Flush deadlines ride the progress path instead of a timer thread (the
+/// paper's §II-B uses a dedicated one): each queue keeps a plain
+/// `deadline_ns`, its first parcel lowers the parcelhandler's earliest
+/// deadline (arm_flush_deadline), and the worker whose progress() finds
+/// that deadline due calls flush_due().  A deadline is only read and
+/// cleared under its shard lock, so a size flush racing it needs no
+/// guard.  The cost: while every worker of the locality is inside a task,
+/// a due queue waits for the first of them to return to progress().
 ///
 /// Concurrency: destination queues live in cacheline-aligned shards
 /// (destination id & mask), each under its own spinlock, so producers
@@ -73,12 +78,12 @@
 #include <coal/core/coalescing_params.hpp>
 #include <coal/parcel/message_handler.hpp>
 #include <coal/parcel/parcelhandler.hpp>
-#include <coal/timing/deadline_timer.hpp>
 #include <coal/trace/tracer.hpp>
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -94,9 +99,10 @@ public:
     /// hitting distinct destinations proceed without sharing a lock.
     static constexpr std::size_t shard_count = 16;
 
+    /// The handler's deadline flushes run from `parcels`' progress(), so
+    /// they happen only while it is installed there (set_message_handler).
     coalescing_message_handler(std::string name,
-        parcel::parcelhandler& parcels,
-        timing::deadline_timer_service& timers, shared_params_ptr params,
+        parcel::parcelhandler& parcels, shared_params_ptr params,
         std::shared_ptr<coalescing_counters> counters);
 
     ~coalescing_message_handler() override;
@@ -104,6 +110,7 @@ public:
     void enqueue(parcel::parcel&& p) override;
     void flush() override;
     void flush_idle() override;
+    std::int64_t flush_due(std::int64_t now_ns) override;
     [[nodiscard]] std::size_t queued_parcels() const override;
 
     /// Chaos hook: drop every queued parcel without sending it (a crashed
@@ -133,8 +140,8 @@ public:
         return name_;
     }
 
-    /// Number of timer-triggered flushes (vs size-triggered); useful for
-    /// tests and the ablation benches.
+    /// Number of deadline-triggered flushes (vs size-triggered); useful
+    /// for tests and the ablation benches.
     [[nodiscard]] std::uint64_t timer_flushes() const noexcept
     {
         return timer_flushes_.load(std::memory_order_relaxed);
@@ -163,14 +170,17 @@ public:
     static constexpr std::uint32_t node_route_flag = 0x80000000u;
 
 private:
+    static constexpr std::int64_t no_deadline =
+        std::numeric_limits<std::int64_t>::max();
+
     struct destination_queue
     {
         std::vector<parcel::parcel> parcels;
         std::size_t queued_bytes = 0;
-        std::uint64_t epoch = 0;     ///< bumped on every flush
+        /// now_ns() time the queue must flush by; no_deadline while empty.
+        std::int64_t deadline_ns = no_deadline;
         std::uint64_t stream = 0;    ///< parcelhandler sequencer stream id
         std::uint64_t next_ticket = 0;    ///< seq of the next detached batch
-        timing::timer_id timer{};
     };
 
     struct alignas(cache_line_size) queue_shard
@@ -232,15 +242,15 @@ private:
     /// machinery, which keeps accounting intact).
     [[nodiscard]] std::uint32_t resolve_target(std::uint32_t route) const;
 
-    void on_timer(std::uint32_t route, std::uint64_t epoch);
-
-    /// Detach and send every non-empty queue, tracing each as `kind`;
-    /// returns how many queues it flushed.
-    std::size_t flush_all(trace::event_kind kind);
+    /// Detach and send every non-empty queue whose deadline is at or
+    /// before `cutoff`, tracing each as `kind`; returns how many queues it
+    /// flushed and lowers `*next` (if given) to the earliest deadline left
+    /// armed.  A flush_timeout pass accounts each flush's lateness.
+    std::size_t flush_until(std::int64_t cutoff, trace::event_kind kind,
+        std::int64_t* next = nullptr);
 
     std::string name_;
     parcel::parcelhandler& parcels_;
-    timing::deadline_timer_service& timers_;
     shared_params_ptr params_;
     std::shared_ptr<coalescing_counters> counters_;
 

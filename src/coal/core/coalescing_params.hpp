@@ -7,8 +7,8 @@
 ///  - `nparcels`: how many parcels to coalesce into one message — the
 ///    paper's primary control (unlike Active Pebbles/AM++/Charm++, which
 ///    control buffer *size*);
-///  - `interval_us`: how long to wait for the queue to fill before the
-///    flush timer sends a partial batch;
+///  - `interval_us`: how long to wait for the queue to fill before its
+///    flush deadline sends a partial batch;
 ///  - `max_buffer_bytes`: upper bound on queued payload to avoid memory
 ///    overflow on large-argument actions.
 ///
@@ -32,7 +32,7 @@ struct coalescing_params
     /// Parcels per message.  <= 1 disables coalescing for the action.
     std::size_t nparcels = 128;
 
-    /// Flush-timer wait time in microseconds.  <= 0 disables coalescing
+    /// Flush-deadline wait time in microseconds.  <= 0 disables coalescing
     /// (every parcel goes out immediately), matching the paper's
     /// "1 µs effectively disables" boundary behaviour.
     std::int64_t interval_us = 4000;

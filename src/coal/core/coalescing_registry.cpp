@@ -5,10 +5,8 @@
 
 namespace coal::coalescing {
 
-coalescing_registry::coalescing_registry(
-    parcel::parcelhandler& parcels, timing::deadline_timer_service& timers)
+coalescing_registry::coalescing_registry(parcel::parcelhandler& parcels)
   : parcels_(parcels)
-  , timers_(timers)
 {
 }
 
@@ -41,14 +39,14 @@ bool coalescing_registry::enable(std::string const& action_name,
     if (entry.request_handler == nullptr)
     {
         entry.request_handler = std::make_shared<coalescing_message_handler>(
-            action_name, parcels_, timers_, entry.params, entry.counters);
+            action_name, parcels_, entry.params, entry.counters);
         parcels_.set_message_handler(action->id, entry.request_handler);
     }
 
     if (include_responses && entry.response_handler == nullptr)
     {
         entry.response_handler = std::make_shared<coalescing_message_handler>(
-            action_name + "::response", parcels_, timers_, entry.params,
+            action_name + "::response", parcels_, entry.params,
             entry.counters);
         parcels_.set_message_handler(
             parcel::make_response_id(action->id), entry.response_handler);

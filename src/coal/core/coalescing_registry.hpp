@@ -13,7 +13,6 @@
 #include <coal/core/coalescing_message_handler.hpp>
 #include <coal/core/coalescing_params.hpp>
 #include <coal/parcel/parcelhandler.hpp>
-#include <coal/timing/deadline_timer.hpp>
 
 #include <memory>
 #include <mutex>
@@ -27,8 +26,7 @@ namespace coal::coalescing {
 class coalescing_registry
 {
 public:
-    coalescing_registry(parcel::parcelhandler& parcels,
-        timing::deadline_timer_service& timers);
+    explicit coalescing_registry(parcel::parcelhandler& parcels);
 
     /// Enable coalescing for a registered action (by name).
     /// \param include_responses install a sibling handler on the response
@@ -78,7 +76,6 @@ private:
     };
 
     parcel::parcelhandler& parcels_;
-    timing::deadline_timer_service& timers_;
 
     mutable std::mutex mutex_;
     std::unordered_map<std::string, action_entry> entries_;

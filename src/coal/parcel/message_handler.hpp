@@ -11,6 +11,8 @@
 #include <coal/parcel/parcel.hpp>
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 
 namespace coal::parcel {
 
@@ -32,6 +34,16 @@ public:
     virtual void flush_idle()
     {
         flush();
+    }
+
+    /// Send every queue whose flush deadline is at or before `now_ns`
+    /// (run from the parcelhandler's progress() once its earliest deadline
+    /// is due) and return the earliest deadline still armed, or INT64_MAX
+    /// when none is.  Handlers that arm deadlines report them through
+    /// parcelhandler::arm_flush_deadline and override this.
+    virtual std::int64_t flush_due(std::int64_t /*now_ns*/)
+    {
+        return std::numeric_limits<std::int64_t>::max();
     }
 
     /// Parcels currently held back (all destinations).

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -196,7 +197,7 @@ void parcelhandler::send_message(
         release_in_order(dst, std::move(parcels), ticket);
 
     // Only workers pump progress(): a batch handed over from any other
-    // thread (the timer thread's flush, a put from outside) wakes one.
+    // thread (a put or a handler flush from outside) wakes one.
     if (!scheduler_.on_worker_thread())
         scheduler_.wake();
 }
@@ -267,6 +268,81 @@ void parcelhandler::flush_message_handlers()
 {
     for (auto const& h : installed_handlers())
         h->flush();
+}
+
+void parcelhandler::arm_flush_deadline(std::int64_t deadline_ns)
+{
+    std::int64_t cur = next_flush_ns_.load(std::memory_order_relaxed);
+    while (deadline_ns < cur)
+    {
+        if (next_flush_ns_.compare_exchange_weak(
+                cur, deadline_ns, std::memory_order_acq_rel))
+        {
+            scheduler_.wake();
+            return;
+        }
+    }
+}
+
+void parcelhandler::note_deadline_flush(std::int64_t lateness_ns) noexcept
+{
+    // Never negative: a queue is flushed only once its deadline passed.
+    auto const late = static_cast<std::uint64_t>(lateness_ns);
+    counters_.deadline_flushes.fetch_add(1, std::memory_order_relaxed);
+    counters_.deadline_lateness_ns.fetch_add(late, std::memory_order_relaxed);
+    std::uint64_t max = counters_.deadline_lateness_max_ns.load(
+        std::memory_order_relaxed);
+    while (late > max &&
+        !counters_.deadline_lateness_max_ns.compare_exchange_weak(
+            max, late, std::memory_order_relaxed))
+    {
+    }
+}
+
+bool parcelhandler::flush_due_handlers()
+{
+    constexpr std::int64_t none = std::numeric_limits<std::int64_t>::max();
+    std::int64_t const armed = next_flush_ns_.load(std::memory_order_acquire);
+    if (armed == none)
+        return false;
+    std::int64_t const now = now_ns();
+    if (now < armed)
+        return false;
+    // One worker claims the due deadline; concurrent callers now read
+    // `none` and move on.  A queue armed meanwhile either lowered the
+    // value before this exchange (and its deadline is visible to the
+    // flush_due() walk below) or lowers it afterwards.
+    std::int64_t const due =
+        next_flush_ns_.exchange(none, std::memory_order_acq_rel);
+    if (now < due)
+    {
+        // Another worker claimed first and re-armed a later deadline.
+        arm_flush_deadline(due);
+        return false;
+    }
+    std::int64_t next = none;
+    for (auto const& h : installed_handlers())
+        next = std::min(next, h->flush_due(now));
+    arm_flush_deadline(next);
+    return true;
+}
+
+std::int64_t parcelhandler::max_idle_sleep_ns() const
+{
+    std::int64_t sleep = reliability_.enabled ? due_ring::tick_ns : 0;
+    std::int64_t const due = next_flush_ns_.load(std::memory_order_acquire);
+    // A stopped or crashed locality's progress() flushes nothing, so a
+    // due deadline must not turn its idle sleep into a spin.
+    if (due != std::numeric_limits<std::int64_t>::max() &&
+        !stopped_.load(std::memory_order_acquire) &&
+        !crashed_.load(std::memory_order_acquire))
+    {
+        // 0 would mean "until woken"; a due deadline polls at once.
+        std::int64_t const until = std::max<std::int64_t>(due - now_ns(), 1);
+        if (sleep == 0 || until < sleep)
+            sleep = until;
+    }
+    return sleep;
 }
 
 continuation_id parcelhandler::register_response_callback(
@@ -2135,6 +2211,8 @@ bool parcelhandler::progress()
                 stalled_ns_.fetch_add(stall, std::memory_order_relaxed);
         }
     }
+    // Deadline flushes first, so their batches leave in this same call.
+    bool const flushed = flush_due_handlers();
     bool const sent = progress_send();
     bool const received = progress_receive();
     bool pumped = false;
@@ -2148,7 +2226,7 @@ bool parcelhandler::progress()
     }
     if (flow_.enabled)
         note_pressure_transition();
-    return sent || received || pumped;
+    return flushed || sent || received || pumped;
 }
 
 void parcelhandler::stop()

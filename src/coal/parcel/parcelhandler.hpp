@@ -17,13 +17,17 @@
 /// `receive_drain_budget` inbox frames per call, paying the receiver cost
 /// per frame.  This is what makes Eq. 3/4 of the paper measurable.
 /// Work that arrives from outside the workers — a transport delivery, a
-/// send from the timer thread or any other non-worker thread — wakes an
-/// idle worker (scheduler::wake) instead of waiting for its next poll.
-/// When the locality goes idle, the scheduler runs idle_flush(), which
-/// flushes the message handlers: with no task running, nothing local can
-/// add to a batch before its timer.  The parcelhandler is its scheduler's
-/// progress_hook; an idle worker sleeps until woken, or at most one
-/// due_ring tick when the reliability layer has deadlines to service.
+/// send from any non-worker thread — wakes an idle worker
+/// (scheduler::wake) instead of waiting for its next poll.  When the
+/// locality goes idle, the scheduler runs idle_flush(), which flushes the
+/// message handlers: with no task running, nothing local can add to a
+/// batch before its deadline.  Coalescing flush deadlines are serviced
+/// here too: handlers lower one earliest-deadline atomic
+/// (arm_flush_deadline), progress() compares it with the clock, and the
+/// worker that claims a due deadline runs message_handler::flush_due.
+/// The parcelhandler is its scheduler's progress_hook; an idle worker
+/// sleeps until woken, or at most until the earliest flush deadline or
+/// one due_ring tick when the reliability layer has deadlines to service.
 ///
 /// The receive pipeline is *batched*: the background worker never decodes
 /// parcel arguments.  It peeks the O(1) frame prefix (duplicate frames
@@ -69,6 +73,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -155,6 +160,12 @@ struct parcelhandler_counters
     /// topology is installed).
     std::atomic<std::uint64_t> messages_inter_node{0};
     std::atomic<std::uint64_t> messages_intra_node{0};
+    // Coalescing flush deadlines (/timers/*):
+    /// Queues sent because their flush deadline passed (flush_due).
+    std::atomic<std::uint64_t> deadline_flushes{0};
+    /// Sum and maximum of how late those flushes ran past their deadline.
+    std::atomic<std::uint64_t> deadline_lateness_ns{0};
+    std::atomic<std::uint64_t> deadline_lateness_max_ns{0};
 };
 
 /// Tunables of the ack/retransmit protocol.  Disabled by default: every
@@ -261,6 +272,17 @@ public:
     /// Flush all installed message handlers (phase end / quiesce).
     void flush_message_handlers();
 
+    /// Lower the earliest coalescing flush deadline to `deadline_ns` (a
+    /// now_ns() time) if it is earlier.  A handler calls this when a
+    /// queue's first parcel arms its deadline; progress() then runs the
+    /// handlers' flush_due() once it has passed.  Lowering it wakes a
+    /// worker, whose idle sleep may have been bounded by a later one.
+    void arm_flush_deadline(std::int64_t deadline_ns);
+
+    /// Account one deadline flush that ran `lateness_ns` past its
+    /// deadline (the /timers/* counters).
+    void note_deadline_flush(std::int64_t lateness_ns) noexcept;
+
     /// Run by the locality's scheduler when none of its workers is
     /// running a task and a parcel was diverted to a message handler since
     /// the last run.  Flushes every installed handler
@@ -320,15 +342,13 @@ public:
     /// Returns true when it made progress.
     bool progress() override;
 
-    /// Deliveries, posts, off-worker sends and timer flushes all wake a
-    /// worker, so with reliability off an idle worker sleeps until woken.
-    /// With it on, RTO, delayed-ack, heartbeat and defer deadlines are
-    /// filed in the due ring at tick granularity, so one tick bounds the
-    /// sleep.
-    [[nodiscard]] std::int64_t max_idle_sleep_ns() const override
-    {
-        return reliability_.enabled ? due_ring::tick_ns : 0;
-    }
+    /// Deliveries, posts and off-worker sends all wake a worker, so with
+    /// reliability off and no flush deadline armed an idle worker sleeps
+    /// until woken.  An armed flush deadline bounds the sleep, so an idle
+    /// sibling of a busy worker flushes on time.  With reliability on,
+    /// RTO, delayed-ack, heartbeat and defer deadlines are filed in the
+    /// due ring at tick granularity, so one tick bounds it too.
+    [[nodiscard]] std::int64_t max_idle_sleep_ns() const override;
 
     [[nodiscard]] parcelhandler_counters const& counters() const noexcept
     {
@@ -667,6 +687,10 @@ private:
     /// Hand a parcel to its action's message handler and arm the
     /// scheduler's idle_flush(), which flushes it once the locality idles.
     void divert(message_handler& handler, parcel&& p);
+    /// progress()'s deadline check: if the earliest flush deadline is
+    /// due, claim it, run every handler's flush_due() and re-arm the
+    /// earliest deadline they still hold.  True when it claimed one.
+    bool flush_due_handlers();
 
     std::uint32_t here_;
     net::transport& transport_;
@@ -686,6 +710,12 @@ private:
 
     mutable spinlock handlers_lock_;
     std::unordered_map<action_id, std::shared_ptr<message_handler>> handlers_;
+    /// Earliest flush deadline any handler armed (now_ns() time; INT64_MAX
+    /// = none).  Lowered by CAS-min; never raised when a queue flushes
+    /// early, so it may be stale — claiming a stale one costs one
+    /// flush_due() pass that finds nothing due.
+    std::atomic<std::int64_t> next_flush_ns_{
+        std::numeric_limits<std::int64_t>::max()};
 
     mutable spinlock responses_lock_;
     std::unordered_map<continuation_id,

@@ -210,7 +210,6 @@ void runtime::register_counters()
     using H = parcel::parcelhandler::health_snapshot;
     using B = serialization::buffer_pool_stats;
     using W = net::socket_wire_stats;
-    using T = timing::timer_service_stats;
     using X = net::transport_stats;
 
     // The one instance selector: `{locality#N}` selects locality N if this
@@ -255,7 +254,6 @@ void runtime::register_counters()
     auto health = local([](locality& l) { return l.parcels().health(); });
     auto pool =
         global([] { return serialization::buffer_pool::global().stats(); });
-    auto timer = global([this] { return timers_->stats(); });
     auto transport = global([this] { return transport_->stats(); });
     // Without a socket transport every wire counter reads 0, so the
     // catalogue is the same whatever the transport.
@@ -535,21 +533,23 @@ void runtime::register_counters()
             pool(&B::fallback_cap_hits),
             "capped acquires refused because live fallback bytes were at the "
             "configured cap"},
-        // ---- flush-timer service ---------------------------------------
-        {"/timers/count/scheduled", cumulative, timer(&T::scheduled),
-            "flush timers scheduled"},
-        {"/timers/count/fired", cumulative, timer(&T::fired),
-            "flush timers fired"},
-        {"/timers/count/cancelled", cumulative, timer(&T::cancelled),
-            "flush timers cancelled before firing"},
-        {"/timers/time/average-lateness", gauge, timer(&T::mean_lateness_us),
-            "mean timer firing lateness, µs"},
-        {"/timers/time/max-lateness", gauge, timer(&T::max_lateness_us),
-            "worst timer firing lateness since start, µs"},
-        {"/timers/count/pending", gauge, {{}, [this] {
-                return static_cast<double>(timers_->pending());
+        // ---- coalescing flush deadlines (served by progress()) -------
+        {"/timers/count/fired", cumulative, parcels(&C::deadline_flushes),
+            "coalescing queues flushed by their deadline"},
+        {"/timers/time/average-lateness", ratio, {[](locality& l) {
+                return static_cast<double>(
+                           l.parcels().counters().deadline_lateness_ns) /
+                    1e3;
             }},
-            "flush timers currently armed (gauge)"},
+            "mean delay of a deadline flush past its deadline, µs",
+            parcels(&C::deadline_flushes)},
+        {"/timers/time/max-lateness", max, {[](locality& l) {
+                return static_cast<double>(
+                           l.parcels().counters().deadline_lateness_max_ns) /
+                    1e3;
+            }},
+            "worst delay of a deadline flush past its deadline since start, "
+            "µs"},
         // ---- coalescing, per @action (the paper's §II-B additions) ---
         {"/coalescing/count/parcels", cumulative, action(&cc::parcels),
             "parcels routed through the coalescing handler of an action"},

@@ -7,7 +7,6 @@ namespace coal {
 
 locality::locality(runtime& rt, agas::locality_id id,
     threading::scheduler_config scheduler_config, net::transport& transport,
-    timing::deadline_timer_service& timers,
     parcel::reliability_params reliability, parcel::flow_params flow,
     parcel::membership_params membership)
   : runtime_(rt)
@@ -15,8 +14,7 @@ locality::locality(runtime& rt, agas::locality_id id,
   , scheduler_(std::make_unique<threading::scheduler>(scheduler_config))
   , parcels_(std::make_unique<parcel::parcelhandler>(
         id.value(), transport, *scheduler_, reliability, flow, membership))
-  , coalescing_(std::make_unique<coalescing::coalescing_registry>(
-        *parcels_, timers))
+  , coalescing_(std::make_unique<coalescing::coalescing_registry>(*parcels_))
 {
 }
 

@@ -4,8 +4,8 @@
 /// A locality — the abstraction of one physical node (§II-A).  Each
 /// locality owns a scheduler (its "cores"), a parcelhandler (its NIC-side
 /// software stack) and a coalescing registry; all localities of a runtime
-/// share the AGAS instance, the simulated interconnect, the deadline
-/// timer service and the performance-counter registry.
+/// share the AGAS instance, the simulated interconnect and the
+/// performance-counter registry.
 ///
 /// The user-facing remote-invocation API lives here:
 ///
@@ -36,7 +36,6 @@ public:
     locality(runtime& rt, agas::locality_id id,
         threading::scheduler_config scheduler_config,
         net::transport& transport,
-        timing::deadline_timer_service& timers,
         parcel::reliability_params reliability = {},
         parcel::flow_params flow = {},
         parcel::membership_params membership = {});

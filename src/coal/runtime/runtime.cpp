@@ -120,7 +120,6 @@ runtime::runtime(runtime_config config)
     if (config_.membership.enabled)
         config_.reliability.enabled = true;
 
-    timers_ = std::make_unique<timing::deadline_timer_service>();
     barrier_ = std::make_unique<help_barrier>(local_count_);
 
     // One locality object per *hosted* rank: in multi-process mode the
@@ -132,8 +131,8 @@ runtime::runtime(runtime_config config)
         sched.num_workers = config_.workers_per_locality;
         sched.name = "locality#" + std::to_string(i);
         localities_.push_back(std::make_unique<locality>(*this,
-            agas::locality_id{i}, sched, *transport_, *timers_,
-            config_.reliability, config_.flow, config_.membership));
+            agas::locality_id{i}, sched, *transport_, config_.reliability,
+            config_.flow, config_.membership));
     }
 
     // Component actions resolve their target objects through AGAS.
@@ -485,7 +484,6 @@ void runtime::stop()
     transport_->shutdown();
     for (auto const& loc : localities_)
         loc->scheduler().stop();
-    timers_->shutdown();
 
     // The buffer pool outlives every runtime (it is process-global); do
     // not let this run's watermarks shed traffic of the next one.

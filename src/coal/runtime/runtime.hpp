@@ -20,7 +20,6 @@
 #include <coal/perf/registry.hpp>
 #include <coal/runtime/locality.hpp>
 #include <coal/threading/instrumentation.hpp>
-#include <coal/timing/deadline_timer.hpp>
 
 #include <atomic>
 #include <cstdint>
@@ -162,11 +161,6 @@ public:
         return *transport_;
     }
 
-    [[nodiscard]] timing::deadline_timer_service& timers() noexcept
-    {
-        return *timers_;
-    }
-
     [[nodiscard]] perf::counter_registry& counters() noexcept
     {
         return counters_;
@@ -258,7 +252,6 @@ private:
     /// until it completes).
     std::atomic<std::uint64_t> barrier_ticket_{0};
     std::atomic<std::uint64_t> wire_barrier_round_{0};
-    std::unique_ptr<timing::deadline_timer_service> timers_;
     perf::counter_registry counters_;
     std::vector<std::unique_ptr<locality>> localities_;
     std::unique_ptr<help_barrier> barrier_;

@@ -11,8 +11,8 @@
 /// Each worker owns a cache-line-padded block updated with relaxed
 /// atomics at task granularity; snapshots aggregate across workers.
 /// `external_background_ns` collects network work done off the worker
-/// threads (e.g. a flush performed on the timer thread) so Eq. 3/4 see
-/// all of it.
+/// threads (progress made by an external thread helping inside
+/// help_until) so Eq. 3/4 see all of it.
 
 #include <coal/common/cacheline.hpp>
 

@@ -125,17 +125,17 @@ public:
     /// returns done().  On a worker thread this runs its scheduler's
     /// tasks and background work, counting the worker idle while it finds
     /// none (so idle_flush() can send what the waiting task queued), and
-    /// backs off to cpu_relax() and then yield() so network and timer
-    /// threads get CPU on small machines.  Any other thread only yields.
+    /// backs off to cpu_relax() and then yield() so network threads get
+    /// CPU on small machines.  Any other thread only yields.
     template <typename Done>
     static bool help_until(Done&& done,
         std::chrono::steady_clock::time_point deadline =
             std::chrono::steady_clock::time_point::max());
 
     /// Wake sleeping workers: work reached this scheduler from outside its
-    /// workers (a transport delivery, a flush on the timer thread, a put
-    /// from a non-worker thread).  Thread-safe and cheap when nobody
-    /// sleeps.
+    /// workers (a transport delivery, a put from a non-worker thread), or
+    /// a sleeping worker's timeout became too long (a new earliest flush
+    /// deadline).  Thread-safe and cheap when nobody sleeps.
     void wake()
     {
         wake_n(1);
@@ -163,13 +163,6 @@ public:
     [[nodiscard]] scheduler_snapshot snapshot() const noexcept
     {
         return instrumentation_.snapshot();
-    }
-
-    /// Credit externally performed background (network) time, e.g. a
-    /// coalescing flush executed on the timer thread.
-    void add_external_background_ns(std::int64_t ns) noexcept
-    {
-        instrumentation_.add_external_background_ns(ns);
     }
 
     [[nodiscard]] unsigned num_workers() const noexcept

@@ -34,7 +34,7 @@ enum class event_kind : std::uint8_t
     coalescing_queued,   ///< parcel entered a coalescing queue (a=action, b=queue depth after)
     coalescing_bypass,   ///< sparse-traffic bypass sent directly (a=action)
     flush_size,          ///< queue-full flush (a=action, b=batch size)
-    flush_timeout,       ///< timer flush (a=action, b=batch size)
+    flush_timeout,       ///< deadline flush (a=action, b=batch size)
     flush_idle,          ///< locality went idle (a=action, b=batch size)
     flush_forced,        ///< explicit flush (a=action, b=batch size)
     message_sent,        ///< frame handed to the transport (a=parcel count, b=bytes)

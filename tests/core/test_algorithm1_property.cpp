@@ -14,7 +14,6 @@
 #include <coal/parcel/parcel.hpp>
 #include <coal/parcel/parcelhandler.hpp>
 #include <coal/threading/scheduler.hpp>
-#include <coal/timing/deadline_timer.hpp>
 
 #include <gtest/gtest.h>
 
@@ -58,7 +57,6 @@ using coal::serialization::byte_buffer;
 using coal::serialization::from_bytes;
 using coal::threading::scheduler;
 using coal::threading::scheduler_config;
-using coal::timing::deadline_timer_service;
 
 // Transport that records every frame instead of delivering it.
 class recording_transport final : public transport
@@ -141,12 +139,14 @@ TEST_P(Algorithm1Property, ConservationOrderingAndBatchBounds)
     scheduler sched(cfg);
     parcelhandler ph(0, transport, sched);
 
-    deadline_timer_service timers;
     auto params = std::make_shared<shared_params>(coalescing_params{
         sp.nparcels, sp.interval_us, 1 << 20});
     auto counters = std::make_shared<coalescing_counters>();
-    coalescing_message_handler handler(
-        "alg1_noop_action", ph, timers, params, counters);
+    // Installed, so the worker's progress() runs its deadline flushes
+    // while this thread is still enqueueing.
+    auto handler = std::make_shared<coalescing_message_handler>(
+        "alg1_noop_action", ph, params, counters);
+    ph.set_message_handler(alg1_noop_action::id(), handler);
 
     for (std::uint64_t i = 0; i != sp.burst; ++i)
     {
@@ -154,14 +154,15 @@ TEST_P(Algorithm1Property, ConservationOrderingAndBatchBounds)
         p.dest = 1 + static_cast<std::uint32_t>(i) % sp.destinations;
         p.action = alg1_noop_action::id();
         p.arguments = alg1_noop_action::make_arguments(i);
-        handler.enqueue(std::move(p));
+        handler->enqueue(std::move(p));
     }
-    handler.flush();
+    handler->flush();
 
     // Drain outbound send jobs through the scheduler's background work.
     for (int spin = 0; spin != 5000 && ph.pending_sends() != 0; ++spin)
         std::this_thread::sleep_for(std::chrono::microseconds(100));
     ASSERT_EQ(ph.pending_sends(), 0u);
+    ph.set_message_handler(alg1_noop_action::id(), nullptr);
     sched.stop();
     ph.stop();
 
@@ -212,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Algorithm1Property,
         sweep_params{1000, 100000, 10, 1},    // nothing fills; flush only
         sweep_params{4, 100000, 500, 3},      // multiple destinations
         sweep_params{8, 100000, 777, 5},
-        sweep_params{32, 50, 2000, 2},        // timer races queue-full
+        sweep_params{32, 50, 2000, 2},        // deadline races queue-full
         sweep_params{2, 50, 500, 4}),
     [](auto const& param_info) {
         auto const& p = param_info.param;

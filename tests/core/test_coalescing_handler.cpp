@@ -1,6 +1,8 @@
 // The coalescing message handler — Algorithm 1 behaviour:
-// queue-full flush, timeout flush, sparse-traffic bypass, max-buffer cap,
-// live parameter changes, epoch-based timer race resolution.
+// queue-full flush, deadline flush, sparse-traffic bypass, max-buffer cap,
+// live parameter changes, deadline flushes racing the size trigger.  The
+// handler is installed on its parcelhandler, whose worker runs the
+// deadline flushes from progress().
 
 #include <coal/core/coalescing_message_handler.hpp>
 
@@ -8,7 +10,6 @@
 #include <coal/parcel/action.hpp>
 #include <coal/parcel/parcelhandler.hpp>
 #include <coal/threading/scheduler.hpp>
-#include <coal/timing/deadline_timer.hpp>
 
 #include <gtest/gtest.h>
 
@@ -40,7 +41,6 @@ using coal::parcel::parcel;
 using coal::parcel::parcelhandler;
 using coal::threading::scheduler;
 using coal::threading::scheduler_config;
-using coal::timing::deadline_timer_service;
 
 struct handler_harness
 {
@@ -52,14 +52,18 @@ struct handler_harness
       , ph1(1, transport, sched1)
       , shared(std::make_shared<shared_params>(params))
       , counters(std::make_shared<coalescing_counters>())
-      , handler("cmh_target_action", ph0, timers, shared, counters)
+      , installed(std::make_shared<coalescing_message_handler>(
+            "cmh_target_action", ph0, shared, counters))
+      , handler(*installed)
     {
         g_cmh_hits = 0;
+        ph0.set_message_handler(cmh_target_action::id(), installed);
     }
 
     ~handler_harness()
     {
         settle();
+        ph0.set_message_handler(cmh_target_action::id(), nullptr);
         ph0.stop();
         ph1.stop();
         sched0.stop();
@@ -113,10 +117,10 @@ struct handler_harness
     loopback_transport transport;
     scheduler sched0, sched1;
     parcelhandler ph0, ph1;
-    deadline_timer_service timers;
     std::shared_ptr<shared_params> shared;
     std::shared_ptr<coalescing_counters> counters;
-    coalescing_message_handler handler;
+    std::shared_ptr<coalescing_message_handler> installed;
+    coalescing_message_handler& handler;
 };
 
 coalescing_params params(std::size_t n, std::int64_t interval_us,
@@ -131,7 +135,7 @@ coalescing_params params(std::size_t n, std::int64_t interval_us,
 
 TEST(CoalescingHandler, QueueFullTriggersFlush)
 {
-    handler_harness h(params(4, 1000000));    // timer far away
+    handler_harness h(params(4, 1000000));    // deadline far away
 
     for (int i = 0; i != 4; ++i)
         h.handler.enqueue(h.make_parcel());
@@ -148,14 +152,14 @@ TEST(CoalescingHandler, QueueFullTriggersFlush)
 
 TEST(CoalescingHandler, PartialBatchFlushedByTimer)
 {
-    handler_harness h(params(100, 10000));    // 10 ms timer
+    handler_harness h(params(100, 10000));    // 10 ms deadline
 
     for (int i = 0; i != 7; ++i)
         h.handler.enqueue(h.make_parcel());
     EXPECT_EQ(h.handler.queued_parcels(), 7u);
     EXPECT_EQ(h.wire_messages(), 0u);
 
-    // Wait for the flush timer.
+    // Wait for the deadline flush.
     for (int i = 0; i != 200 && h.handler.queued_parcels() != 0; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     h.settle();
@@ -164,6 +168,109 @@ TEST(CoalescingHandler, PartialBatchFlushedByTimer)
     EXPECT_EQ(h.wire_messages(), 1u);
     EXPECT_EQ(h.handler.timer_flushes(), 1u);
     EXPECT_EQ(g_cmh_hits.load(), 7);
+}
+
+// The deadline path itself: a queue flushes once, not before its
+// deadline, not at all after a size flush took it, every armed queue
+// flushes, and each flush feeds the /timers/* lateness counters.
+
+coalescing_params deadline_only(std::int64_t interval_us)
+{
+    auto p = params(100, interval_us);
+    p.sparse_bypass = false;
+    return p;
+}
+
+// Waits until nothing is queued or two seconds passed.
+void wait_until_sent(handler_harness& h)
+{
+    auto const deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (h.handler.queued_parcels() != 0 &&
+        std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+}
+
+TEST(CoalescingHandler, DeadlineFlushFiresOnce)
+{
+    handler_harness h(deadline_only(2000));
+    for (int i = 0; i != 3; ++i)
+        h.handler.enqueue(h.make_parcel());
+    wait_until_sent(h);
+    // Several deadline periods later, still the one flush.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    h.settle();
+
+    EXPECT_EQ(h.handler.timer_flushes(), 1u);
+    EXPECT_EQ(h.ph0.counters().deadline_flushes.load(), 1u);
+    EXPECT_EQ(h.wire_messages(), 1u);
+    EXPECT_EQ(g_cmh_hits.load(), 3);
+}
+
+TEST(CoalescingHandler, DeadlineFlushNotBeforeDeadline)
+{
+    handler_harness h(deadline_only(20000));
+    auto const start = std::chrono::steady_clock::now();
+    h.handler.enqueue(h.make_parcel());
+    wait_until_sent(h);
+    auto const waited = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - start)
+                            .count();
+
+    ASSERT_EQ(h.handler.timer_flushes(), 1u) << "deadline never flushed";
+    EXPECT_GE(waited, 20000);
+}
+
+TEST(CoalescingHandler, SizeFlushDisarmsDeadline)
+{
+    auto p = deadline_only(5000);
+    p.nparcels = 4;
+    handler_harness h(p);
+    for (int i = 0; i != 4; ++i)
+        h.handler.enqueue(h.make_parcel());
+    // Well past the deadline the size flush took with it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    h.settle();
+
+    EXPECT_EQ(h.handler.size_flushes(), 1u);
+    EXPECT_EQ(h.handler.timer_flushes(), 0u);
+    EXPECT_EQ(h.ph0.counters().deadline_flushes.load(), 0u);
+    EXPECT_EQ(h.wire_messages(), 1u);
+}
+
+TEST(CoalescingHandler, ManyDeadlinesAllFlush)
+{
+    constexpr int n = 20;
+    handler_harness h(deadline_only(1000));
+    for (int i = 0; i != n; ++i)
+    {
+        h.handler.enqueue(h.make_parcel());
+        wait_until_sent(h);
+    }
+    h.settle();
+
+    EXPECT_EQ(h.handler.timer_flushes(), static_cast<std::uint64_t>(n));
+    EXPECT_EQ(
+        h.ph0.counters().deadline_flushes.load(), static_cast<std::uint64_t>(n));
+    EXPECT_EQ(g_cmh_hits.load(), n);
+}
+
+TEST(CoalescingHandler, DeadlineFlushTracksLateness)
+{
+    constexpr int n = 5;
+    handler_harness h(deadline_only(1000));
+    for (int i = 0; i != n; ++i)
+    {
+        h.handler.enqueue(h.make_parcel());
+        wait_until_sent(h);
+    }
+
+    auto const& c = h.ph0.counters();
+    ASSERT_EQ(c.deadline_flushes.load(), static_cast<std::uint64_t>(n));
+    // Lateness is never negative (a flush runs at or after its deadline),
+    // and the worst flush is at least as late as the mean.
+    EXPECT_GE(c.deadline_lateness_max_ns.load() * n,
+        c.deadline_lateness_ns.load());
 }
 
 TEST(CoalescingHandler, DisabledByNparcelsOnePassesThrough)
@@ -189,7 +296,7 @@ TEST(CoalescingHandler, DisabledByZeroIntervalPassesThrough)
 TEST(CoalescingHandler, SparseTrafficBypassesQueue)
 {
     // Interval 1000 µs; parcels arrive 5 ms apart -> tslp > interval with
-    // an empty queue -> direct send, no timer latency added.
+    // an empty queue -> direct send, no deadline latency added.
     handler_harness h(params(64, 1000));
 
     h.handler.enqueue(h.make_parcel());    // first parcel: queued (no gap)
@@ -200,7 +307,7 @@ TEST(CoalescingHandler, SparseTrafficBypassesQueue)
     }
     h.settle();
 
-    // First parcel: flushed by its timer after 1 ms.  The three sparse
+    // First parcel: flushed at its deadline after 1 ms.  The three sparse
     // parcels: sent directly.
     EXPECT_EQ(h.wire_messages(), 4u);
     EXPECT_EQ(h.handler.queued_parcels(), 0u);
@@ -258,9 +365,10 @@ TEST(CoalescingHandler, LiveParameterChangeTakesEffect)
 
 TEST(CoalescingHandler, NoDoubleFlushWhenTimerRacesQueueFull)
 {
-    // Tight timer and tight batches: every batch is a race between the
-    // timer thread and the enqueue path.  Conservation must hold.
-    handler_harness h(params(2, 200));    // 200 µs timer, batches of 2
+    // Tight deadline and tight batches: every batch is a race between the
+    // worker's deadline flush and the enqueue path.  Conservation must
+    // hold.
+    handler_harness h(params(2, 200));    // 200 µs deadline, batches of 2
 
     constexpr int n = 2000;
     for (int i = 0; i != n; ++i)

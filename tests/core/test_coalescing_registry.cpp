@@ -9,7 +9,6 @@
 #include <coal/parcel/action.hpp>
 #include <coal/parcel/parcelhandler.hpp>
 #include <coal/threading/scheduler.hpp>
-#include <coal/timing/deadline_timer.hpp>
 
 #include <gtest/gtest.h>
 
@@ -39,7 +38,6 @@ using coal::parcel::make_response_id;
 using coal::parcel::parcelhandler;
 using coal::threading::scheduler;
 using coal::threading::scheduler_config;
-using coal::timing::deadline_timer_service;
 
 struct registry_harness
 {
@@ -47,7 +45,7 @@ struct registry_harness
       : transport(2)
       , sched(cfg())
       , ph(0, transport, sched)
-      , registry(ph, timers)
+      , registry(ph)
     {
     }
 
@@ -67,7 +65,6 @@ struct registry_harness
     loopback_transport transport;
     scheduler sched;
     parcelhandler ph;
-    deadline_timer_service timers;
     coalescing_registry registry;
 };
 

@@ -1,9 +1,9 @@
 // Race-stress tests for the contention-free send path: the sharded
 // coalescing handler (per-destination FIFO under concurrent producers
-// with mixed size/timer/bypass/forced flushes), the striped arrival
-// counters, and the timer-wheel-backed deadline timer service.  Built
-// into a race-labeled binary so the tsan preset runs exactly these under
-// ThreadSanitizer.
+// with mixed size/deadline/bypass/forced flushes; the deadline flushes
+// run on the parcelhandler's worker) and the striped arrival counters.
+// Built into a race-labeled binary so the tsan preset runs exactly these
+// under ThreadSanitizer.
 
 #include <coal/core/coalescing_message_handler.hpp>
 
@@ -12,7 +12,6 @@
 #include <coal/parcel/parcel.hpp>
 #include <coal/parcel/parcelhandler.hpp>
 #include <coal/threading/scheduler.hpp>
-#include <coal/timing/deadline_timer.hpp>
 
 #include <gtest/gtest.h>
 
@@ -45,7 +44,6 @@ using coal::parcel::decode_message;
 using coal::parcel::parcelhandler;
 using coal::threading::scheduler;
 using coal::threading::scheduler_config;
-using coal::timing::deadline_timer_service;
 
 /// Wire-order observation point: decodes every frame the parcelhandler
 /// emits and records the (producer, seq) payloads per destination in
@@ -116,8 +114,32 @@ constexpr std::uint64_t pack(std::uint64_t producer, std::uint64_t seq)
     return (producer << 32) | seq;
 }
 
+/// Install a handler on `ph`, so the worker's progress() runs its
+/// deadline flushes concurrently with the test's producers.
+std::shared_ptr<coalescing_message_handler> install(parcelhandler& ph,
+    std::shared_ptr<shared_params> params,
+    std::shared_ptr<coalescing_counters> counters)
+{
+    auto handler = std::make_shared<coalescing_message_handler>(
+        "sendrace_noop_action", ph, std::move(params), std::move(counters));
+    ph.set_message_handler(sendrace_noop_action::id(), handler);
+    return handler;
+}
+
+/// Uninstall and destroy the handler on this thread (its destructor
+/// flushes the remainder): wait out a worker still inside flush_due(),
+/// which holds a copy.
+void uninstall(
+    parcelhandler& ph, std::shared_ptr<coalescing_message_handler>& handler)
+{
+    ph.set_message_handler(sendrace_noop_action::id(), nullptr);
+    while (handler.use_count() != 1)
+        std::this_thread::yield();
+    handler.reset();
+}
+
 // The property the ticket sequencer must deliver: whatever mixture of
-// size flushes, timer flushes, sparse bypasses, and concurrent forced
+// size flushes, deadline flushes, sparse bypasses, and concurrent forced
 // flushes detaches the batches, each producer's parcels toward one
 // destination appear on the wire in enqueue order.
 TEST(SendPathRaces, PerDestinationFifoUnderConcurrentProducers)
@@ -132,7 +154,6 @@ TEST(SendPathRaces, PerDestinationFifoUnderConcurrentProducers)
     cfg.num_workers = 1;
     scheduler sched(cfg);
     parcelhandler ph(0, transport, sched);
-    deadline_timer_service timers;
 
     // Small batches + short interval + sparse bypass on: all flush modes
     // fire during the run.
@@ -140,14 +161,13 @@ TEST(SendPathRaces, PerDestinationFifoUnderConcurrentProducers)
         coalescing_params{8, 500, 1 << 20, true});
     auto counters = std::make_shared<coalescing_counters>();
     {
-        coalescing_message_handler handler(
-            "sendrace_noop_action", ph, timers, params, counters);
+        auto handler = install(ph, params, counters);
 
         std::atomic<bool> stop_flusher{false};
         std::thread flusher([&] {
             while (!stop_flusher.load(std::memory_order_acquire))
             {
-                handler.flush();
+                handler->flush();
                 std::this_thread::sleep_for(std::chrono::microseconds(300));
             }
         });
@@ -164,8 +184,8 @@ TEST(SendPathRaces, PerDestinationFifoUnderConcurrentProducers)
                     p.action = sendrace_noop_action::id();
                     p.arguments =
                         sendrace_noop_action::make_arguments(pack(t, i));
-                    handler.enqueue(std::move(p));
-                    // Periodic pauses open sparse-bypass and timer-flush
+                    handler->enqueue(std::move(p));
+                    // Periodic pauses open sparse-bypass and deadline-flush
                     // windows between bursts.
                     if ((i & 511) == 0)
                         std::this_thread::sleep_for(
@@ -178,6 +198,7 @@ TEST(SendPathRaces, PerDestinationFifoUnderConcurrentProducers)
         stop_flusher.store(true, std::memory_order_release);
         flusher.join();
         // Handler destructor flushes the remainder.
+        uninstall(ph, handler);
     }
 
     for (int spin = 0; spin != 20000 && ph.pending_sends() != 0; ++spin)
@@ -225,13 +246,11 @@ TEST(SendPathRaces, ShardedHandlerGaugeSettlesUnderStress)
     cfg.num_workers = 1;
     scheduler sched(cfg);
     parcelhandler ph(0, transport, sched);
-    deadline_timer_service timers;
 
     auto params = std::make_shared<shared_params>(
         coalescing_params{16, 1000, 1 << 20, true});
     auto counters = std::make_shared<coalescing_counters>();
-    coalescing_message_handler handler(
-        "sendrace_noop_action", ph, timers, params, counters);
+    auto handler = install(ph, params, counters);
 
     std::atomic<bool> stop_observer{false};
     std::thread observer([&] {
@@ -239,7 +258,7 @@ TEST(SendPathRaces, ShardedHandlerGaugeSettlesUnderStress)
         // shard churns must be race-free and never underflow.
         while (!stop_observer.load(std::memory_order_acquire))
         {
-            auto const depth = handler.queued_parcels();
+            auto const depth = handler->queued_parcels();
             EXPECT_LT(depth, std::size_t(1) << 60) << "gauge underflow";
             std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
@@ -258,7 +277,7 @@ TEST(SendPathRaces, ShardedHandlerGaugeSettlesUnderStress)
                 p.action = sendrace_noop_action::id();
                 p.arguments =
                     sendrace_noop_action::make_arguments(pack(t, i));
-                handler.enqueue(std::move(p));
+                handler->enqueue(std::move(p));
             }
         });
     }
@@ -267,11 +286,12 @@ TEST(SendPathRaces, ShardedHandlerGaugeSettlesUnderStress)
     stop_observer.store(true, std::memory_order_release);
     observer.join();
 
-    handler.flush();
+    handler->flush();
     for (int spin = 0; spin != 20000 && ph.pending_sends() != 0; ++spin)
         std::this_thread::sleep_for(std::chrono::microseconds(100));
     ASSERT_EQ(ph.pending_sends(), 0u);
-    EXPECT_EQ(handler.queued_parcels(), 0u);
+    EXPECT_EQ(handler->queued_parcels(), 0u);
+    uninstall(ph, handler);
     EXPECT_EQ(counters->parcels(), producers * per_producer);
     EXPECT_EQ(counters->parcels_in_messages(), producers * per_producer);
     sched.stop();
@@ -326,79 +346,6 @@ TEST(SendPathRaces, StripedCountersConserveAcrossThreads)
     for (std::size_t i = 3; i < hist.size(); ++i)
         hist_total += hist[i];
     EXPECT_EQ(hist_total, static_cast<std::int64_t>(total - 1));
-}
-
-// Timer wheel storm across all three residence classes (level 0, level
-// 1, overflow) with concurrent cancellation: the ran-exactly-once XOR
-// cancelled guarantee must survive.
-TEST(SendPathRaces, TimerWheelScheduleCancelFireStorm)
-{
-    constexpr unsigned threads = 4;
-    constexpr std::size_t per_thread = 400;
-
-    deadline_timer_service timers;
-    struct entry
-    {
-        coal::timing::timer_id id;
-        std::shared_ptr<std::atomic<int>> ran;
-    };
-    std::vector<std::vector<entry>> scheduled(threads);
-
-    std::vector<std::thread> workers;
-    for (unsigned t = 0; t != threads; ++t)
-    {
-        workers.emplace_back([&, t] {
-            for (std::size_t i = 0; i != per_thread; ++i)
-            {
-                // Deadlines spanning the wheel levels: sub-tick, level 0
-                // (≤65 ms), level 1 (≤33 s), and the overflow list.
-                std::int64_t us;
-                switch (i % 4)
-                {
-                case 0: us = 50 + static_cast<std::int64_t>(i); break;
-                case 1: us = 5000 + static_cast<std::int64_t>(i * 11); break;
-                case 2: us = 2000000; break;
-                default: us = 60000000; break;
-                }
-                auto ran = std::make_shared<std::atomic<int>>(0);
-                auto id = timers.schedule_after(us, [ran] {
-                    ran->fetch_add(1, std::memory_order_relaxed);
-                });
-                scheduled[t].push_back({id, ran});
-                // Cancel every other long timer immediately to churn the
-                // lazy-tombstone path while the wheel advances.
-                if (i % 2 == 1)
-                {
-                    bool const cancelled = timers.cancel(id);
-                    if (cancelled)
-                        scheduled[t].back().id = {};
-                }
-            }
-        });
-    }
-    for (auto& w : workers)
-        w.join();
-
-    // Wait for all short (<100 ms) non-cancelled timers to fire.
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-
-    auto const stats = timers.stats();
-    std::size_t ran_total = 0;
-    for (auto const& lane : scheduled)
-        for (auto const& e : lane)
-        {
-            int const runs = e.ran->load(std::memory_order_acquire);
-            EXPECT_LE(runs, 1) << "timer callback ran twice";
-            if (!e.id.valid())
-                EXPECT_EQ(runs, 0) << "cancelled timer still fired";
-            ran_total += static_cast<std::size_t>(runs);
-        }
-    EXPECT_EQ(stats.fired, ran_total);
-    EXPECT_EQ(stats.scheduled, threads * per_thread);
-    EXPECT_EQ(
-        stats.scheduled, stats.fired + stats.cancelled + timers.pending());
-
-    timers.shutdown();
 }
 
 }    // namespace

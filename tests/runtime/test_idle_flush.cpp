@@ -1,9 +1,10 @@
 // Idle flush and event-driven wake-ups: a locality with no running task
-// flushes its coalescing queues instead of waiting for the flush timer,
-// deliveries wake sleeping workers, and a busy sibling worker keeps the
-// batches full (the flush is locality-idle, not worker-idle).  Each test
-// is a wall-clock bound, so a lost wake-up or a timer-bound leg shows up
-// as a failure rather than a slow pass.
+// flushes its coalescing queues instead of waiting for the flush
+// deadline, deliveries wake sleeping workers, a busy sibling worker keeps
+// the batches full (the flush is locality-idle, not worker-idle), and an
+// idle sibling of a busy worker wakes for a flush deadline.  Each test
+// is a wall-clock bound, so a lost wake-up or a deadline-bound leg shows
+// up as a failure rather than a slow pass.
 
 #include <coal/runtime/runtime.hpp>
 
@@ -59,7 +60,7 @@ runtime_config two_localities(unsigned workers)
 
 coalescing_params batching(std::size_t nparcels)
 {
-    // A 1 s timer: a leg that waits for it blows every bound below.
+    // A 1 s deadline: a leg that waits for it blows every bound below.
     coalescing_params p;
     p.nparcels = nparcels;
     p.interval_us = 1'000'000;
@@ -105,6 +106,50 @@ TEST(IdleFlush, IdleLocalityFlushesWithoutTimer)
     ASSERT_NE(handler, nullptr);
     EXPECT_GT(handler->idle_flushes(), 0u);
     EXPECT_EQ(handler->timer_flushes(), 0u);
+    rt.stop();
+}
+
+TEST(IdleFlush, IdleSiblingFlushesAtDeadline)
+{
+    // One of locality 0's two workers sleeps inside a 300 ms task, so the
+    // locality never goes idle and no idle flush can send the parcel.
+    // Its sibling sleeps with reliability off, so nothing but the flush
+    // deadline bounds that sleep: it must wake at the 2 ms deadline.
+    auto cfg = two_localities(2);
+    cfg.reliability.enabled = false;
+    runtime rt(cfg);
+    coalescing_params params;
+    params.nparcels = 128;
+    params.interval_us = 2000;
+    params.sparse_bypass = false;
+    rt.enable_coalescing(idle_sink_action::name(), params);
+    g_idle_sink = 0;
+
+    auto& here = rt.get_locality(0u);
+    std::atomic<bool> started{false};
+    here.post([&started] {
+        started.store(true, std::memory_order_release);
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    });
+    while (!started.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    // Past the scheduler's 1 ms warm-poll window: the sibling's sleep is
+    // no longer bounded by it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+    coal::stopwatch clock;
+    here.apply<idle_sink_action>(here.find_remote_localities().front(), 1);
+    while (g_idle_sink.load() == 0 && clock.elapsed_ms() <= bound_ms)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    double const elapsed_ms = clock.elapsed_ms();
+
+    EXPECT_EQ(g_idle_sink.load(), 1u);
+    EXPECT_LE(elapsed_ms, 100.0);
+    auto const handler =
+        here.coalescing().handler(idle_sink_action::name());
+    ASSERT_NE(handler, nullptr);
+    EXPECT_EQ(handler->timer_flushes(), 1u);
+    EXPECT_EQ(handler->idle_flushes(), 0u);
     rt.stop();
 }
 
