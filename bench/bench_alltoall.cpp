@@ -6,44 +6,24 @@
 /// the scenario in which Charm++'s PICS "converged to a decision on
 /// coalescing buffer size in 5 decisions".
 ///
-/// With nodes > 1 the run also compares flat coalescing against
-/// hierarchical (two-level) aggregation on the same topology: cross-node
-/// traffic relayed through one locality per destination node and fanned
-/// out over intra-node links, reported as inter-/intra-node message
-/// counts from the simulated network's tier accounting.
-///
-///     ./bench_alltoall [localities=4] [nodes=1] [chunks=256] [doubles=16]
-///                      [rounds=4]
+///     ./bench_alltoall [localities=4] [chunks=256] [doubles=16] [rounds=4]
 
 #include <coal/adaptive/adaptive_coalescer.hpp>
 #include <coal/collectives/collectives.hpp>
-#include <coal/net/sim_network.hpp>
 
 #include "bench_common.hpp"
 
-#include <cinttypes>
+#include <atomic>
+#include <memory>
 
 namespace {
 
-struct run_result
-{
-    double round_s = 0.0;
-    // Simulated-network tier totals over the measured rounds (warm-up
-    // excluded); with nodes <= 1 everything classifies as inter-node.
-    std::uint64_t inter_messages = 0;
-    std::uint64_t intra_messages = 0;
-    std::uint64_t parcels_relayed = 0;
-    std::uint64_t parcels_fanned_out = 0;
-};
-
-// One measured configuration: mean round time over `rounds` (after one
-// warm-up round).
-run_result measure(std::size_t nparcels, std::size_t chunks,
-    std::size_t doubles, unsigned rounds, std::uint32_t localities,
-    std::uint32_t nodes, bool hierarchical, bool staggered = true,
+// One measured configuration: mean round time in seconds over `rounds`
+// (after one warm-up round).
+double measure(std::size_t nparcels, std::size_t chunks, std::size_t doubles,
+    unsigned rounds, std::uint32_t localities, bool staggered = true,
     coal::adaptive::adaptive_coalescer* tuner = nullptr,
-    coal::runtime* reuse_rt = nullptr,
-    coal::net::cost_model const* inter_model = nullptr)
+    coal::runtime* reuse_rt = nullptr)
 {
     std::unique_ptr<coal::runtime> owned;
     coal::runtime* rt = reuse_rt;
@@ -51,11 +31,7 @@ run_result measure(std::size_t nparcels, std::size_t chunks,
     {
         coal::runtime_config cfg;
         cfg.num_localities = localities;
-        cfg.num_nodes = nodes;
-        cfg.hierarchical_routing = hierarchical;
         cfg.apply_coalescing_defaults = false;
-        if (inter_model != nullptr)
-            cfg.network = *inter_model;
         owned = std::make_unique<coal::runtime>(cfg);
         rt = owned.get();
         rt->enable_coalescing(
@@ -63,18 +39,9 @@ run_result measure(std::size_t nparcels, std::size_t chunks,
     }
 
     std::uint32_t const n = rt->num_localities();
-    auto const* sim =
-        dynamic_cast<coal::net::sim_network const*>(&rt->network());
-    auto const relayed_counter = rt->counters().get("/coal/hierarchy/relayed");
-    auto const fanned_counter =
-        rt->counters().get("/coal/hierarchy/fanned-out");
-
     coal::running_stats round_times;
     // Tag space: each round consumes `chunks` tags per (src,dst) pair.
     static std::atomic<std::uint64_t> tag_base{1u << 20};
-
-    coal::net::link_stats inter0, intra0;
-    double relayed0 = 0.0, fanned0 = 0.0;
 
     for (unsigned round = 0; round != rounds + 1; ++round)
     {
@@ -88,59 +55,16 @@ run_result measure(std::size_t nparcels, std::size_t chunks,
             (void) coal::collectives::all_to_all_chunked(
                 *rt, here, payload, tag, staggered);
         });
-        if (round == 0)
-        {
-            // Warm-up done: baseline the traffic accounting so the
-            // reported tier totals cover exactly the measured rounds.
-            if (sim != nullptr)
-            {
-                inter0 = sim->tier_totals(coal::net::link_tier::inter_node);
-                intra0 = sim->tier_totals(coal::net::link_tier::intra_node);
-            }
-            if (relayed_counter)
-                relayed0 = relayed_counter->value(false).value;
-            if (fanned_counter)
-                fanned0 = fanned_counter->value(false).value;
-        }
-        else
+        if (round != 0)    // round 0 is the warm-up
             round_times.add(sw.elapsed_s());
         if (tuner != nullptr)
             tuner->tick();
     }
 
-    run_result out;
-    out.round_s = round_times.mean();
-    if (sim != nullptr)
-    {
-        out.inter_messages =
-            sim->tier_totals(coal::net::link_tier::inter_node).messages -
-            inter0.messages;
-        out.intra_messages =
-            sim->tier_totals(coal::net::link_tier::intra_node).messages -
-            intra0.messages;
-    }
-    if (relayed_counter)
-        out.parcels_relayed = static_cast<std::uint64_t>(
-            relayed_counter->value(false).value - relayed0);
-    if (fanned_counter)
-        out.parcels_fanned_out = static_cast<std::uint64_t>(
-            fanned_counter->value(false).value - fanned0);
-
     if (owned)
         owned->stop();
-    return out;
+    return round_times.mean();
 }
-
-// Inter-node tier defaults for the flat-vs-hierarchical comparison: a
-// busy NIC/fabric path whose per-message cost dwarfs the shared-memory
-// tier — the regime node-level aggregation is designed for.  The sim's
-// stock defaults (2 us/message) price a quiet link where relaying could
-// never pay; these approximate a loaded one (kernel bypass off, rendezvous
-// handshakes, congestion).  Override with inter_send_us= / inter_recv_us=
-// / inter_latency_us= on the command line.
-constexpr double inter_send_default = 40.0;
-constexpr double inter_recv_default = 40.0;
-constexpr double inter_latency_default = 40.0;
 
 }    // namespace
 
@@ -149,7 +73,6 @@ int main(int argc, char** argv)
     auto cli = coal::bench::parse_cli(argc, argv);
     auto const localities =
         static_cast<std::uint32_t>(cli.get_int("localities", 4));
-    auto const nodes = static_cast<std::uint32_t>(cli.get_int("nodes", 1));
     auto const chunks =
         static_cast<std::size_t>(cli.get_int("chunks", 256));
     auto const doubles =
@@ -159,18 +82,17 @@ int main(int argc, char** argv)
     coal::bench::print_header(
         "All-to-all benchmark (PICS/TRAM reference workload)",
         "per round each locality sends `chunks` x `doubles` to every peer");
-    std::printf("localities=%u nodes=%u chunks=%zu doubles=%zu rounds=%u\n\n",
-        localities, nodes, chunks, doubles, rounds);
+    std::printf("localities=%u chunks=%zu doubles=%zu rounds=%u\n\n",
+        localities, chunks, doubles, rounds);
 
     std::printf("%-10s %-18s\n", "nparcels", "round time [ms]");
     double worst = 0.0, best = 1e300;
     for (std::size_t n : {1, 4, 16, 64, 128})
     {
-        auto const r =
-            measure(n, chunks, doubles, rounds, localities, nodes, false);
-        std::printf("%-10zu %-18.2f\n", n, r.round_s * 1e3);
-        worst = std::max(worst, r.round_s);
-        best = std::min(best, r.round_s);
+        double const r = measure(n, chunks, doubles, rounds, localities);
+        std::printf("%-10zu %-18.2f\n", n, r * 1e3);
+        worst = std::max(worst, r);
+        best = std::min(best, r);
     }
     std::printf("static sweep: best/worst = %.2fx\n\n", worst / best);
 
@@ -178,80 +100,24 @@ int main(int argc, char** argv)
     // the burst order differs.  The synchronized order flush-storms each
     // receiver in turn; the rotated order spreads them.
     {
-        auto const sync = measure(
-            64, chunks, doubles, rounds, localities, nodes, false, false);
-        auto const stag = measure(
-            64, chunks, doubles, rounds, localities, nodes, false, true);
+        double const sync =
+            measure(64, chunks, doubles, rounds, localities, false);
+        double const stag =
+            measure(64, chunks, doubles, rounds, localities, true);
         std::printf("burst order: synchronized %.2f ms -> staggered %.2f ms "
                     "(%.2fx)\n\n",
-            sync.round_s * 1e3, stag.round_s * 1e3,
-            stag.round_s > 0.0 ? sync.round_s / stag.round_s : 0.0);
+            sync * 1e3, stag * 1e3, stag > 0.0 ? sync / stag : 0.0);
         std::printf("BENCH {\"bench\":\"alltoall_stagger\",\"staggered\":0,"
                     "\"localities\":%u,\"round_ms\":%.3f}\n",
-            localities, sync.round_s * 1e3);
+            localities, sync * 1e3);
         std::printf("BENCH {\"bench\":\"alltoall_stagger\",\"staggered\":1,"
                     "\"localities\":%u,\"round_ms\":%.3f}\n",
-            localities, stag.round_s * 1e3);
-    }
-
-    // Flat vs hierarchical aggregation on the same topology.  Only
-    // meaningful with a real node grouping.  Both arms run on the same
-    // two-tier network, with the inter-node tier priced like the link the
-    // hierarchy is for — a congested NIC/fabric path whose per-message
-    // overhead dwarfs the shared-memory tier (overridable on the CLI).
-    if (nodes > 1)
-    {
-        coal::net::cost_model inter;
-        inter.send_overhead_us =
-            cli.get_double("inter_send_us", inter_send_default);
-        inter.recv_overhead_us =
-            cli.get_double("inter_recv_us", inter_recv_default);
-        inter.wire_latency_us =
-            cli.get_double("inter_latency_us", inter_latency_default);
-        std::printf("\ninter-node tier: send %.1f us, recv %.1f us, "
-                    "latency %.1f us per message\n",
-            inter.send_overhead_us, inter.recv_overhead_us,
-            inter.wire_latency_us);
-        auto const flat = measure(64, chunks, doubles, rounds, localities,
-            nodes, false, true, nullptr, nullptr, &inter);
-        auto const hier = measure(64, chunks, doubles, rounds, localities,
-            nodes, true, true, nullptr, nullptr, &inter);
-        double const msg_ratio = hier.inter_messages != 0 ?
-            static_cast<double>(flat.inter_messages) /
-                static_cast<double>(hier.inter_messages) :
-            0.0;
-        std::printf("\nhierarchical aggregation (%u localities / %u nodes, "
-                    "nparcels=64):\n",
-            localities, nodes);
-        std::printf("  flat:         round %.2f ms, %" PRIu64
-                    " inter-node msgs, %" PRIu64 " intra-node msgs\n",
-            flat.round_s * 1e3, flat.inter_messages, flat.intra_messages);
-        std::printf("  hierarchical: round %.2f ms, %" PRIu64
-                    " inter-node msgs, %" PRIu64 " intra-node msgs, %" PRIu64
-                    " relayed, %" PRIu64 " fanned out\n",
-            hier.round_s * 1e3, hier.inter_messages, hier.intra_messages,
-            hier.parcels_relayed, hier.parcels_fanned_out);
-        std::printf("  inter-node message reduction: %.2fx\n\n", msg_ratio);
-        std::printf("BENCH {\"bench\":\"alltoall_hierarchy\","
-                    "\"hierarchical\":0,\"localities\":%u,\"nodes\":%u,"
-                    "\"round_ms\":%.3f,\"inter_msgs\":%" PRIu64
-                    ",\"intra_msgs\":%" PRIu64 "}\n",
-            localities, nodes, flat.round_s * 1e3, flat.inter_messages,
-            flat.intra_messages);
-        std::printf("BENCH {\"bench\":\"alltoall_hierarchy\","
-                    "\"hierarchical\":1,\"localities\":%u,\"nodes\":%u,"
-                    "\"round_ms\":%.3f,\"inter_msgs\":%" PRIu64
-                    ",\"intra_msgs\":%" PRIu64 ",\"relayed\":%" PRIu64
-                    ",\"fanned_out\":%" PRIu64 "}\n",
-            localities, nodes, hier.round_s * 1e3, hier.inter_messages,
-            hier.intra_messages, hier.parcels_relayed,
-            hier.parcels_fanned_out);
+            localities, stag * 1e3);
     }
 
     // Adaptive run on a persistent runtime, one decision per round.
     coal::runtime_config cfg;
     cfg.num_localities = localities;
-    cfg.num_nodes = nodes;
     cfg.apply_coalescing_defaults = false;
     coal::runtime rt(cfg);
     rt.enable_coalescing(
@@ -263,11 +129,11 @@ int main(int argc, char** argv)
     tuner_cfg.min_parcels_per_sample = 64;
     coal::adaptive::adaptive_coalescer tuner(rt, tuner_cfg);
 
-    auto const adaptive = measure(0, chunks, doubles, 3 * rounds, localities,
-        nodes, false, true, &tuner, &rt);
+    double const adaptive = measure(
+        0, chunks, doubles, 3 * rounds, localities, true, &tuner, &rt);
     std::printf("\nadaptive (from nparcels=1): mean round %.2f ms, %llu "
                 "decisions, final nparcels=%zu\n",
-        adaptive.round_s * 1e3,
+        adaptive * 1e3,
         static_cast<unsigned long long>(tuner.decisions()),
         tuner.current_nparcels());
     std::printf("(PICS reference: converged in 5 decisions on this "

@@ -136,8 +136,7 @@ struct parquet_measurement
 };
 
 inline parquet_measurement measure_parquet(apps::parquet_params params,
-    std::uint32_t localities, unsigned repeats, unsigned workers = 1,
-    std::uint32_t nodes = 1, bool hierarchical = false)
+    std::uint32_t localities, unsigned repeats, unsigned workers = 1)
 {
     parquet_measurement out;
     std::vector<double> iteration_times, overheads;
@@ -150,8 +149,6 @@ inline parquet_measurement measure_parquet(apps::parquet_params params,
         cfg.num_localities = localities;
         cfg.workers_per_locality = workers;
         cfg.apply_coalescing_defaults = false;
-        cfg.num_nodes = nodes;
-        cfg.hierarchical_routing = hierarchical;
         runtime rt(cfg);
 
         auto const result = apps::run_parquet_app(rt, params);

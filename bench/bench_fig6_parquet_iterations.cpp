@@ -5,12 +5,7 @@
 /// minimum at 4, degradation beyond (a U-shape), more pronounced in
 /// later iterations because the effect is cumulative.
 ///
-/// With `nodes>1 hier=1` the localities group into nodes and cross-node
-/// coalesced traffic relays hierarchically — used to check the hierarchy
-/// layer does not tax a real application's critical path.
-///
 ///     ./bench_fig6_parquet_iterations [nc=24] [iterations=3] [repeats=3]
-///                                     [nodes=1] [hier=0]
 
 #include "bench_common.hpp"
 
@@ -21,15 +16,10 @@ int main(int argc, char** argv)
     auto const iterations =
         static_cast<unsigned>(cfg.get_int("iterations", 3));
     auto const repeats = static_cast<unsigned>(cfg.get_int("repeats", 3));
-    auto const nodes = static_cast<std::uint32_t>(cfg.get_int("nodes", 1));
-    bool const hier = cfg.get_int("hier", 0) != 0;
 
     coal::bench::print_header(
         "Fig. 6 — parquet: cumulative time per iteration vs parcels/message",
         "wait 4000 us, 4 localities; paper: minimum at nparcels=4 (U-shape)");
-    if (nodes > 1)
-        std::printf("topology: %u nodes, hierarchical routing %s\n\n", nodes,
-            hier ? "on" : "off");
 
     coal::bench::csv_sink csv(
         cfg, "nparcels,iteration,cumulative_ms,median_iter_ms");
@@ -46,8 +36,7 @@ int main(int argc, char** argv)
         params.iterations = iterations;
         params.coalescing = {n, 4000};
 
-        auto const m =
-            coal::bench::measure_parquet(params, 4, repeats, 1, nodes, hier);
+        auto const m = coal::bench::measure_parquet(params, 4, repeats);
         std::printf("%-10zu", n);
         unsigned iteration = 1;
         for (double cum : m.per_iteration_cumulative_s)
@@ -58,8 +47,8 @@ int main(int argc, char** argv)
         }
         std::printf("  %-14.2f\n", m.median_iteration_s * 1e3);
         std::printf("BENCH {\"bench\":\"fig6_parquet\",\"nparcels\":%zu,"
-                    "\"nodes\":%u,\"hier\":%d,\"median_iter_ms\":%.3f}\n",
-            n, nodes, hier ? 1 : 0, m.median_iteration_s * 1e3);
+                    "\"median_iter_ms\":%.3f}\n",
+            n, m.median_iteration_s * 1e3);
 
         if (m.median_iteration_s < best)
         {

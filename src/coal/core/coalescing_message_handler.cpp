@@ -11,17 +11,6 @@
 
 namespace coal::coalescing {
 
-namespace {
-
-/// Hierarchical routing: a node-pair buffer drains node_size destination
-/// streams at once, so it fills correspondingly faster and batches
-/// nparcels × this many parcels.  The inter tier grows batches by size
-/// only and keeps the base interval, so sparse cross-node traffic keeps
-/// the application's chosen latency bound.
-constexpr std::size_t inter_nparcels_factor = 8;
-
-}    // namespace
-
 coalescing_message_handler::coalescing_message_handler(std::string name,
     parcel::parcelhandler& parcels, shared_params_ptr params,
     std::shared_ptr<coalescing_counters> counters)
@@ -66,70 +55,21 @@ coalescing_message_handler::detach_batch_locked(destination_queue& queue)
     return batch;
 }
 
-std::uint32_t coalescing_message_handler::route_of(
-    std::uint32_t dst) const noexcept
-{
-    if (!parcels_.relay_routing())
-        return dst;
-    net::topology const& topo = parcels_.topo();
-    if (topo.same_node(parcels_.here(), dst))
-        return dst;
-    return node_route_flag | topo.node_of(dst);
-}
-
-std::uint32_t coalescing_message_handler::resolve_target(
-    std::uint32_t route) const
-{
-    if ((route & node_route_flag) == 0)
-        return route;
-    net::topology const& topo = parcels_.topo();
-    std::uint32_t const node = route & ~node_route_flag;
-    std::uint32_t const first = topo.node_first(node);
-    std::uint32_t const size = topo.node_end(node) - first;
-    if (size == 0)
-        return first;    // malformed topology; let the send fail normally
-    // Designated relay: deterministic per source, so this locality's
-    // whole node-pair stream funnels through one relay (that
-    // concentration is the aggregation win) — but *spread by source*
-    // across the node's members, so a node's inbound fan-out work is
-    // shared by all of its localities instead of serializing on member
-    // 0.  Healthy-cluster fast path: nobody is suspected or dead
-    // anywhere, so the preferred member is live by definition — no
-    // per-peer locks on the enqueue path.
-    std::uint32_t const preferred = parcels_.here() % size;
-    if (parcels_.all_peers_live())
-        return first + preferred;
-    // Self-healing rotation: when the relay dies the failure detector
-    // flips its status and the next resolution (a flush, or the
-    // death-path flush_message_handlers) lands on the next live member.
-    for (std::uint32_t i = 0; i != size; ++i)
-    {
-        std::uint32_t const cand = first + (preferred + i) % size;
-        if (parcels_.peer_liveness(cand) == parcel::peer_status::alive)
-            return cand;
-    }
-    return first + preferred;
-}
-
 void coalescing_message_handler::send_batch(
-    std::uint32_t route, detached_batch&& batch)
+    std::uint32_t dst, detached_batch&& batch)
 {
-    // Runs WITHOUT the shard lock.  Per-route FIFO is preserved by the
-    // ticket: sequence numbers were allocated in shard-lock order and
+    // Runs WITHOUT the shard lock.  Per-destination FIFO is preserved by
+    // the ticket: sequence numbers were allocated in shard-lock order and
     // the parcelhandler's sequencer releases batches in ticket order, so
     // dropping the lock before this hand-off cannot reorder the wire.
-    // A node-pair route resolves to its relay only now, at hand-off —
-    // batches queued before a relay death ship to the successor.
     std::size_t const queued = batch.parcels.size();
     counters_->record_message(queued);
-    parcels_.send_message(
-        resolve_target(route), std::move(batch.parcels), batch.ticket);
+    parcels_.send_message(dst, std::move(batch.parcels), batch.ticket);
     // Only now drop the parcels from the shard's queued gauge:
     // send_message has made them visible in pending_sends(), so a
     // quiescence poll always sees them in at least one count.
     if (batch.gauge != 0)
-        shard_for(route).gauge.fetch_sub(
-            batch.gauge, std::memory_order_release);
+        shard_for(dst).gauge.fetch_sub(batch.gauge, std::memory_order_release);
 }
 
 void coalescing_message_handler::enqueue(parcel::parcel&& p)
@@ -138,11 +78,9 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
     std::int64_t const gap_ns = counters_->record_parcel();
     std::uint32_t const dst = p.dest;
 
-    // Disabled: pass through, one parcel per message (and no relay
-    // detour — hierarchy without aggregation would only add a hop).  The
-    // parcel still takes a ticket from the destination's stream so it
-    // cannot overtake (or be overtaken by) batches detached moments
-    // earlier.
+    // Disabled: pass through, one parcel per message.  The parcel still
+    // takes a ticket from the destination's stream so it cannot overtake
+    // (or be overtaken by) batches detached moments earlier.
     if (!params.coalescing_enabled())
     {
         detached_batch single;
@@ -156,35 +94,25 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
         return;
     }
 
-    // Hierarchical routing: a cross-node parcel joins its node-pair
-    // buffer under the larger inter-node batch; everything downstream
-    // of here keys on `route`, and the wire destination (the node's
-    // relay) is resolved only at hand-off.
-    std::uint32_t const route = route_of(dst);
-    bool const relayed = route != dst;
-    if (relayed)
-        params.nparcels *= inter_nparcels_factor;
-    std::uint32_t const wire_dst = relayed ? resolve_target(route) : dst;
-
     // Per-link circuit breaker: while the reliability layer reports the
-    // wire link (the relay's, for a node route) as degraded, batching
-    // only stacks coalescing delay on top of retransmission timeouts.
-    // Flush whatever is queued for the route and send this parcel along
-    // immediately (effectively nparcels = 1 until the link heals).
-    if (parcels_.link_degraded(wire_dst))
+    // link as degraded, batching only stacks coalescing delay on top of
+    // retransmission timeouts.  Flush whatever is queued for the
+    // destination and send this parcel along immediately (effectively
+    // nparcels = 1 until the link heals).
+    if (parcels_.link_degraded(dst))
     {
         breaker_bypasses_.fetch_add(1, std::memory_order_relaxed);
         trace::tracer::global().record(parcels_.here(),
             trace::event_kind::coalescing_bypass, p.action);
         detached_batch batch;
         {
-            auto& shard = shard_for(route);
+            auto& shard = shard_for(dst);
             std::lock_guard lock(shard.lock);
-            batch = detach_batch_locked(queue_for_locked(shard, route));
+            batch = detach_batch_locked(queue_for_locked(shard, dst));
             batch.gauge = batch.parcels.size();
         }
         batch.parcels.push_back(std::move(p));
-        send_batch(route, std::move(batch));
+        send_batch(dst, std::move(batch));
         return;
     }
 
@@ -194,19 +122,19 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
     // queue drains at a quarter of its configured depth.  The configured
     // params are untouched; pressure subsiding restores full batching on
     // the next enqueue.
-    if (parcels_.flow_pressure(wire_dst) != pressure_state::ok)
+    if (parcels_.flow_pressure(dst) != pressure_state::ok)
     {
         params.nparcels = std::max<std::size_t>(2, params.nparcels / 4);
         params.max_buffer_bytes =
             std::max<std::size_t>(1024, params.max_buffer_bytes / 4);
     }
 
-    auto& shard = shard_for(route);
+    auto& shard = shard_for(dst);
     std::optional<detached_batch> flush_now;
     std::int64_t armed = no_deadline;
     {
         std::unique_lock lock(shard.lock);
-        auto& queue = queue_for_locked(shard, route);
+        auto& queue = queue_for_locked(shard, dst);
 
         if (stopped_.load(std::memory_order_acquire))
         {
@@ -215,7 +143,7 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
             single.ticket = {queue.stream, queue.next_ticket++};
             lock.unlock();
             single.parcels.push_back(std::move(p));
-            send_batch(route, std::move(single));
+            send_batch(dst, std::move(single));
             return;
         }
 
@@ -233,7 +161,7 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
             trace::tracer::global().record(parcels_.here(),
                 trace::event_kind::coalescing_bypass, p.action);
             single.parcels.push_back(std::move(p));
-            send_batch(route, std::move(single));
+            send_batch(dst, std::move(single));
             return;
         }
 
@@ -265,7 +193,7 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
     }
 
     if (flush_now)
-        send_batch(route, std::move(*flush_now));
+        send_batch(dst, std::move(*flush_now));
     else if (armed != no_deadline)
         parcels_.arm_flush_deadline(armed);
 }
@@ -282,13 +210,13 @@ void coalescing_message_handler::flush_idle()
         std::memory_order_relaxed);
 }
 
-std::int64_t coalescing_message_handler::flush_due(std::int64_t now_ns)
+std::size_t coalescing_message_handler::flush_due(
+    std::int64_t now_ns, std::int64_t& next_ns)
 {
-    std::int64_t next = no_deadline;
-    timer_flushes_.fetch_add(
-        flush_until(now_ns, trace::event_kind::flush_timeout, &next),
-        std::memory_order_relaxed);
-    return next;
+    std::size_t const flushed =
+        flush_until(now_ns, trace::event_kind::flush_timeout, &next_ns);
+    timer_flushes_.fetch_add(flushed, std::memory_order_relaxed);
+    return flushed;
 }
 
 std::size_t coalescing_message_handler::flush_until(
@@ -299,14 +227,11 @@ std::size_t coalescing_message_handler::flush_until(
     for (auto& shard : shards_)
     {
         // Detach every non-empty queue in one critical section, then send
-        // the batches lock-free; tickets keep each route in order.  Node
-        // routes re-resolve their relay here — this is how the death
-        // path's flush_message_handlers() moves a node-pair stream to the
-        // successor relay.
+        // the batches lock-free; tickets keep each destination in order.
         std::vector<std::pair<std::uint32_t, detached_batch>> batches;
         {
             std::lock_guard lock(shard.lock);
-            for (auto& [route, queue] : shard.queues)
+            for (auto& [dst, queue] : shard.queues)
             {
                 if (queue.parcels.empty())
                     continue;
@@ -322,12 +247,12 @@ std::size_t coalescing_message_handler::flush_until(
                     queue.parcels.front().action, queue.parcels.size());
                 auto batch = detach_batch_locked(queue);
                 batch.gauge = batch.parcels.size();
-                batches.emplace_back(route, std::move(batch));
+                batches.emplace_back(dst, std::move(batch));
             }
         }
         flushed += batches.size();
-        for (auto& [route, batch] : batches)
-            send_batch(route, std::move(batch));
+        for (auto& [dst, batch] : batches)
+            send_batch(dst, std::move(batch));
     }
     return flushed;
 }

@@ -54,23 +54,6 @@
 /// it for transmission by background work — so the modeled per-message
 /// cost lands in the Eq. 3/4 accounting regardless of which thread
 /// triggered the flush.
-///
-/// Hierarchical (two-level) aggregation: when the parcelhandler has a
-/// topology with relay routing enabled, parcels whose destination lives
-/// on a *different node* do not get a per-destination queue.  They share
-/// one queue per destination NODE (a node-pair buffer: this locality ×
-/// that node), keyed by `node_route_flag | node`, batched to nparcels
-/// × 8 parcels under the base interval.  At flush time the batch ships
-/// to a designated relay locality on that node — chosen
-/// deterministically per *source* so each sender's stream
-/// stays concentrated on one relay while different senders spread across
-/// the node's members, sharing the fan-out work — and the relay's
-/// receive path fans the bundle out over cheap intra-node links
-/// (parcelhandler::forward_parcel).  This turns O(localities²) cross-node
-/// streams into O(nodes²) and packs far more parcels per expensive
-/// inter-node message.  Relay death reroutes naturally: liveness flips,
-/// resolve_target picks the next member, and the failure machinery
-/// (fencing + flush_message_handlers) re-drives queued batches.
 
 #include <coal/common/cacheline.hpp>
 #include <coal/common/spinlock.hpp>
@@ -110,7 +93,7 @@ public:
     void enqueue(parcel::parcel&& p) override;
     void flush() override;
     void flush_idle() override;
-    std::int64_t flush_due(std::int64_t now_ns) override;
+    std::size_t flush_due(std::int64_t now_ns, std::int64_t& next_ns) override;
     [[nodiscard]] std::size_t queued_parcels() const override;
 
     /// Chaos hook: drop every queued parcel without sending it (a crashed
@@ -165,10 +148,6 @@ public:
         return breaker_bypasses_.load(std::memory_order_relaxed);
     }
 
-    /// Queue-map key of a node-pair buffer.  Locality ids are dense and
-    /// small, so the high bit cleanly separates the two key spaces.
-    static constexpr std::uint32_t node_route_flag = 0x80000000u;
-
 private:
     static constexpr std::int64_t no_deadline =
         std::numeric_limits<std::int64_t>::max();
@@ -222,25 +201,10 @@ private:
     };
     detached_batch detach_batch_locked(destination_queue& queue);
 
-    /// Hand a detached batch to the parcelhandler.  Called without any
-    /// shard lock held; the ticket preserves per-route FIFO.  `route` is
-    /// the queue key: a plain destination, or a node-pair key that
-    /// resolve_target() maps to the node's current relay at send time.
-    void send_batch(std::uint32_t route, detached_batch&& batch);
-
-    /// Queue key for a destination: the destination itself, or — with
-    /// relay routing on and `dst` on another node — that node's
-    /// node-pair key.
-    [[nodiscard]] std::uint32_t route_of(std::uint32_t dst) const noexcept;
-
-    /// Wire target for a route key: plain destinations map to
-    /// themselves; a node-pair key maps to this source's designated
-    /// relay on the node — the member at offset (here % node size),
-    /// rotating to the next live member when the preferred one is down,
-    /// falling back to the preferred member when the failure detector
-    /// trusts nobody (the send then fails through the normal dead-peer
-    /// machinery, which keeps accounting intact).
-    [[nodiscard]] std::uint32_t resolve_target(std::uint32_t route) const;
+    /// Hand a detached batch for `dst` to the parcelhandler.  Called
+    /// without any shard lock held; the ticket preserves per-destination
+    /// FIFO.
+    void send_batch(std::uint32_t dst, detached_batch&& batch);
 
     /// Detach and send every non-empty queue whose deadline is at or
     /// before `cutoff`, tracing each as `kind`; returns how many queues it

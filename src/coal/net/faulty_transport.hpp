@@ -119,10 +119,9 @@ public:
     void send(std::uint32_t src, std::uint32_t dst,
         serialization::wire_message&& message) override;
 
-    [[nodiscard]] double recv_overhead_us(
-        std::uint32_t src, std::uint32_t dst) const noexcept override
+    [[nodiscard]] double recv_overhead_us() const noexcept override
     {
-        return inner_->recv_overhead_us(src, dst);
+        return inner_->recv_overhead_us();
     }
 
     [[nodiscard]] std::uint64_t in_flight() const noexcept override

@@ -11,21 +11,12 @@
 namespace coal::net {
 
 sim_network::sim_network(std::uint32_t num_localities, cost_model model)
-  : sim_network(topology{num_localities, 1}, model, model)
-{
-}
-
-sim_network::sim_network(topology topo, cost_model inter, cost_model intra)
-  : num_localities_(topo.num_localities)
-  , topo_(topo)
-  , model_(inter)
-  , intra_model_(intra)
-  , handlers_(topo.num_localities)
-  , link_free_ns_(
-        static_cast<std::size_t>(topo.num_localities) * topo.num_localities, 0)
-  , link_stats_(
-        static_cast<std::size_t>(topo.num_localities) * topo.num_localities)
-  , down_(topo.num_localities, 0)
+  : num_localities_(num_localities)
+  , model_(model)
+  , handlers_(num_localities)
+  , link_free_ns_(static_cast<std::size_t>(num_localities) * num_localities, 0)
+  , link_stats_(static_cast<std::size_t>(num_localities) * num_localities)
+  , down_(num_localities, 0)
 {
     COAL_ASSERT(num_localities_ > 0);
     delivery_thread_ = std::thread([this] { delivery_loop(); });
@@ -58,16 +49,14 @@ void sim_network::send(std::uint32_t src, std::uint32_t dst,
 
     // Sender-side CPU cost: burned *here*, on the caller's thread, which
     // is the background-work context of the sending locality.  This is
-    // the per-message overhead that parcel coalescing amortizes.  The
-    // link's tier picks which cost model prices the message.
-    cost_model const& model = model_for(src, dst);
-    timing::spin_for_us(model.sender_cpu_us(bytes));
+    // the per-message overhead that parcel coalescing amortizes.
+    timing::spin_for_us(model_.sender_cpu_us(bytes));
 
     std::int64_t const now = now_ns();
     auto const transmit_ns =
-        static_cast<std::int64_t>(model.transmit_us(bytes) * 1000.0);
+        static_cast<std::int64_t>(model_.transmit_us(bytes) * 1000.0);
     auto const latency_ns =
-        static_cast<std::int64_t>(model.wire_latency_us * 1000.0);
+        static_cast<std::int64_t>(model_.wire_latency_us * 1000.0);
 
     {
         std::lock_guard lock(mutex_);
@@ -99,10 +88,6 @@ void sim_network::send(std::uint32_t src, std::uint32_t dst,
         auto& ls = link_stats_[link_index(src, dst)];
         ls.messages += 1;
         ls.bytes += bytes;
-        auto& ts =
-            tier_stats_[static_cast<std::size_t>(topo_.tier_of(src, dst))];
-        ts.messages += 1;
-        ts.bytes += bytes;
 
         heap_.push(std::move(msg));
         in_flight_.fetch_add(1, std::memory_order_acq_rel);
@@ -190,12 +175,6 @@ link_stats sim_network::link(std::uint32_t src, std::uint32_t dst) const
     COAL_ASSERT(src < num_localities_ && dst < num_localities_);
     std::lock_guard lock(mutex_);
     return link_stats_[link_index(src, dst)];
-}
-
-link_stats sim_network::tier_totals(link_tier tier) const
-{
-    std::lock_guard lock(mutex_);
-    return tier_stats_[static_cast<std::size_t>(tier)];
 }
 
 bool sim_network::set_locality_down(std::uint32_t locality, bool down)

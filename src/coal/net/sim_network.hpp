@@ -16,24 +16,17 @@
 ///  - `send_per_kb_us`: additional sender CPU per KiB (buffer handling).
 ///  - `recv_overhead_us`: per-message CPU cost on the receiver, charged by
 ///    the receiving parcelport when it drains its inbox (published via
-///    transport::recv_overhead_us(src, dst)).
+///    transport::recv_overhead_us()).
 ///  - `wire_latency_us` and `bandwidth_bytes_per_us`: delivery time.
 ///    Each directed link transmits serially (a message waits for the tail
 ///    of the previous one), so bandwidth is a real shared resource.
-///
-/// With a topology (localities grouped into nodes, topology.hpp) the
-/// model is two-tiered: links within a node price by the cheap
-/// `intra_node` cost model, links crossing nodes by the default one, and
-/// per-tier totals record how much traffic crossed a node boundary.
 ///
 /// A dedicated delivery thread holds a min-heap of (due-time, message)
 /// and releases each message to the destination's handler when its due
 /// time arrives.
 
-#include <coal/net/topology.hpp>
 #include <coal/net/transport.hpp>
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -44,10 +37,9 @@
 
 namespace coal::net {
 
-/// Tunable cost model for one link tier.  Defaults approximate a
-/// commodity cluster's *inter-node* links, scaled so experiments complete
-/// in seconds on a laptop; intra_node_defaults() prices the shared-memory
-/// tier within a node.
+/// Tunable cost model, one for every link.  Defaults approximate a
+/// commodity cluster's links, scaled so experiments complete in seconds
+/// on a laptop.
 struct cost_model
 {
     double send_overhead_us = 2.0;
@@ -70,19 +62,6 @@ struct cost_model
         return send_overhead_us +
             send_per_kb_us * static_cast<double>(bytes) / 1024.0;
     }
-
-    /// Shared-memory tier between localities of one node: an order of
-    /// magnitude cheaper per message and per byte than the NIC path.
-    [[nodiscard]] static cost_model intra_node_defaults() noexcept
-    {
-        cost_model m;
-        m.send_overhead_us = 0.4;
-        m.send_per_kb_us = 0.01;
-        m.recv_overhead_us = 0.4;
-        m.wire_latency_us = 0.5;
-        m.bandwidth_bytes_per_us = 10000.0;    // ≈ 10 GB/s
-        return m;
-    }
 };
 
 /// Per-directed-link traffic statistics.
@@ -95,14 +74,8 @@ struct link_stats
 class sim_network final : public transport
 {
 public:
-    /// Flat single-tier interconnect (every link prices by `model`).
+    /// Every link prices by `model`.
     sim_network(std::uint32_t num_localities, cost_model model);
-
-    /// Topology-aware interconnect: links within a node price by
-    /// `intra`, links crossing nodes by `inter`.  With `topo.enabled()`
-    /// false every link classifies as inter-node, so this degenerates to
-    /// the flat constructor.
-    sim_network(topology topo, cost_model inter, cost_model intra);
 
     ~sim_network() override;
 
@@ -120,10 +93,9 @@ public:
     void send(std::uint32_t src, std::uint32_t dst,
         serialization::wire_message&& message) override;
 
-    [[nodiscard]] double recv_overhead_us(
-        std::uint32_t src, std::uint32_t dst) const noexcept override
+    [[nodiscard]] double recv_overhead_us() const noexcept override
     {
-        return model_for(src, dst).recv_overhead_us;
+        return model_.recv_overhead_us;
     }
 
     [[nodiscard]] std::uint64_t in_flight() const noexcept override
@@ -138,30 +110,9 @@ public:
     [[nodiscard]] link_stats link(
         std::uint32_t src, std::uint32_t dst) const;
 
-    /// Aggregate traffic per pricing tier — what the hierarchical
-    /// aggregation benches report: "how many messages actually crossed a
-    /// node boundary".  With the topology disabled everything lands in
-    /// the inter_node bucket.
-    [[nodiscard]] link_stats tier_totals(link_tier tier) const;
-
-    [[nodiscard]] topology const& topo() const noexcept
-    {
-        return topo_;
-    }
-
-    /// The inter-node (default) tier of the cost model.
     [[nodiscard]] cost_model const& model() const noexcept
     {
         return model_;
-    }
-
-    /// Tier-resolved cost model for a directed link.
-    [[nodiscard]] cost_model const& model_for(
-        std::uint32_t src, std::uint32_t dst) const noexcept
-    {
-        return topo_.tier_of(src, dst) == link_tier::intra_node ?
-            intra_model_ :
-            model_;
     }
 
     void shutdown() override;
@@ -203,9 +154,7 @@ private:
     }
 
     std::uint32_t num_localities_;
-    topology topo_;
-    cost_model model_;          // inter-node (default) tier
-    cost_model intra_model_;    // same-node tier
+    cost_model model_;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
@@ -215,7 +164,6 @@ private:
     std::vector<delivery_handler> handlers_;
     std::vector<std::int64_t> link_free_ns_;    // per-link tail of transmission
     std::vector<link_stats> link_stats_;
-    std::array<link_stats, link_tier_count> tier_stats_{};
     std::vector<char> down_;    // chaos API: localities currently crashed
     std::uint64_t next_seq_ = 0;
     bool stopping_ = false;

@@ -64,17 +64,12 @@ public:
         serialization::wire_message&& message) = 0;
 
     /// Per-message CPU cost the *receiver* should charge when it picks a
-    /// message from `src` out of `dst`'s inbox (µs).  The transport cannot
-    /// spin on the receiver's behalf — the cost must land on the receiving
-    /// worker's background accounting — so it publishes the figure
-    /// instead.  Link-resolved so a topology-aware transport (sim_network
-    /// with nodes) can charge less for a message that never left the
-    /// node.  Real and timing-exact wires model no cost.
-    [[nodiscard]] virtual double recv_overhead_us(
-        std::uint32_t src, std::uint32_t dst) const noexcept
+    /// message out of its inbox (µs).  The transport cannot spin on the
+    /// receiver's behalf — the cost must land on the receiving worker's
+    /// background accounting — so it publishes the figure instead.  Real
+    /// and timing-exact wires model no cost.
+    [[nodiscard]] virtual double recv_overhead_us() const noexcept
     {
-        (void) src;
-        (void) dst;
         return 0.0;
     }
 

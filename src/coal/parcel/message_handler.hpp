@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 namespace coal::parcel {
 
@@ -38,12 +37,14 @@ public:
 
     /// Send every queue whose flush deadline is at or before `now_ns`
     /// (run from the parcelhandler's progress() once its earliest deadline
-    /// is due) and return the earliest deadline still armed, or INT64_MAX
-    /// when none is.  Handlers that arm deadlines report them through
-    /// parcelhandler::arm_flush_deadline and override this.
-    virtual std::int64_t flush_due(std::int64_t /*now_ns*/)
+    /// is due), lower `next_ns` to the earliest deadline still armed, and
+    /// return how many queues were sent.  Handlers that arm deadlines
+    /// report them through parcelhandler::arm_flush_deadline and override
+    /// this.
+    virtual std::size_t flush_due(
+        std::int64_t /*now_ns*/, std::int64_t& /*next_ns*/)
     {
-        return std::numeric_limits<std::int64_t>::max();
+        return 0;
     }
 
     /// Parcels currently held back (all destinations).

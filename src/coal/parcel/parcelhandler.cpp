@@ -320,11 +320,14 @@ bool parcelhandler::flush_due_handlers()
         arm_flush_deadline(due);
         return false;
     }
+    // A size flush may have detached the queue that armed `due`, so the
+    // walk can find nothing due: that poll did no work and reports none.
     std::int64_t next = none;
+    std::size_t flushed = 0;
     for (auto const& h : installed_handlers())
-        next = std::min(next, h->flush_due(now));
+        flushed += h->flush_due(now, next);
     arm_flush_deadline(next);
-    return true;
+    return flushed != 0;
 }
 
 std::int64_t parcelhandler::max_idle_sleep_ns() const
@@ -579,9 +582,6 @@ bool parcelhandler::progress_send()
                 u.frame = std::move(frame);
                 u.bytes = est;
                 u.parcels = static_cast<std::uint32_t>(job->parcels.size());
-                for (parcel const& p : job->parcels)
-                    if (p.source != here_)
-                        ++u.forwarded;
                 u.first_send_ns = now;
                 u.rto_ns = initial_rto_ns_locked(peer);
                 u.deadline_ns = now + u.rto_ns;
@@ -630,15 +630,6 @@ bool parcelhandler::progress_send()
         job->parcels.size(), wire_bytes);
     counters_.messages_sent.fetch_add(1, std::memory_order_relaxed);
     counters_.bytes_sent.fetch_add(wire_bytes, std::memory_order_relaxed);
-
-    if (topo_.enabled())
-    {
-        auto& tier_counter =
-            topo_.tier_of(here_, job->dst) == net::link_tier::inter_node ?
-            counters_.messages_inter_node :
-            counters_.messages_intra_node;
-        tier_counter.fetch_add(1, std::memory_order_relaxed);
-    }
 
     transport_.send(here_, job->dst, std::move(wire));
     return true;
@@ -746,9 +737,8 @@ void parcelhandler::receive_one(inbound_message&& msg)
         }
     }
 
-    // Receiver-side per-message CPU cost (protocol processing), priced by
-    // the link tier: a frame that never left the node costs less.
-    timing::spin_for_us(transport_.recv_overhead_us(msg.src, here_));
+    // Receiver-side per-message CPU cost (protocol processing).
+    timing::spin_for_us(transport_.recv_overhead_us());
 
     if (!reliability_.enabled || info.header.seq == 0)
     {
@@ -889,67 +879,7 @@ void parcelhandler::execute_chunk(
         std::memory_order_relaxed);
 
     for (auto& p : parcels)
-    {
-        // Two-level aggregation: a parcel addressed past this locality
-        // arrived on a node-pair bundle with us as the relay.  Custody
-        // transfers here — the origin's frame was acked on receipt — and
-        // the fan-out leg re-routes it over intra-node links.
-        if (relay_routing_ && p.dest != here_)
-            forward_parcel(std::move(p));
-        else
-            execute_parcel(std::move(p));
-    }
-}
-
-void parcelhandler::forward_parcel(parcel&& p)
-{
-    counters_.parcels_relayed.fetch_add(1, std::memory_order_relaxed);
-
-    // Unlike put_parcel, p.source is NOT re-stamped: the parcel still
-    // belongs to its origin, and its continuation (if any) must complete
-    // a promise *there*, not here.
-    COAL_ASSERT(p.dest != here_);
-
-    // The relay crashed after taking custody: the origin's copy is acked
-    // and gone, so the loss must surface through this locality's failure
-    // accounting (same funnel kill_locality drains).
-    if (crashed_.load(std::memory_order_acquire))
-    {
-        std::vector<parcel> failed;
-        failed.push_back(std::move(p));
-        fail_parcels(delivery_error::peer_failed, std::move(failed));
-        return;
-    }
-
-    // Same fail-fast as put_parcel: a fan-out leg toward a dead peer
-    // would never be acked.
-    if (membership_.enabled &&
-        dead_peers_.load(std::memory_order_acquire) != 0 &&
-        peer_dead(p.dest))
-    {
-        std::vector<parcel> failed;
-        failed.push_back(std::move(p));
-        fail_parcels(delivery_error::peer_failed, std::move(failed));
-        return;
-    }
-
-    counters_.parcels_fanned_out.fetch_add(1, std::memory_order_relaxed);
-    trace::tracer::global().record(
-        here_, trace::event_kind::parcel_put, p.action, p.dest);
-
-    // Fan out through the installed message handler so the intra-node leg
-    // still coalesces (under the base, latency-sensitive knobs — the
-    // destination is on our node, so the handler will not re-relay).
-    if (auto handler = message_handler_for(p.action))
-    {
-        divert(*handler, std::move(p));
-        return;
-    }
-
-    std::uint32_t const dst = p.dest;
-    std::vector<parcel> single;
-    single.push_back(std::move(p));
-    send_message(dst, std::move(single));
+        execute_parcel(std::move(p));
 }
 
 void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
@@ -979,10 +909,7 @@ void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
                 counters_.acked_messages.fetch_add(
                     1, std::memory_order_relaxed);
                 counters_.parcels_confirmed.fetch_add(
-                    u.parcels - u.forwarded, std::memory_order_relaxed);
-                if (u.forwarded != 0)
-                    counters_.parcels_relay_confirmed.fetch_add(
-                        u.forwarded, std::memory_order_relaxed);
+                    u.parcels, std::memory_order_relaxed);
                 if (u.attempts == 1)
                 {
                     // Karn's rule: only never-retransmitted frames give an
@@ -1668,26 +1595,6 @@ void parcelhandler::fail_parcels(
 {
     if (parcels.empty())
         return;
-    // Parcels this locality holds as a node relay (source != self) belong
-    // to the relay ledger, not the origin-keyed delivery-error taxonomy:
-    // their origin already counted them confirmed when this relay acked
-    // custody, so surfacing them through the per-cause counters and the
-    // delivery-error handler would double-account the same parcel on two
-    // localities.  They land in /coal/hierarchy/relay-failed instead —
-    // the custody-loss half of the relay ledger (relay-confirmed +
-    // relay-failed eventually equals fanned-out).
-    if (std::size_t const own = static_cast<std::size_t>(std::distance(
-            parcels.begin(), std::partition(parcels.begin(), parcels.end(),
-                                 [&](parcel const& p)
-                                 { return p.source == here_; })));
-        own != parcels.size())
-    {
-        counters_.parcels_relay_failed.fetch_add(
-            parcels.size() - own, std::memory_order_relaxed);
-        parcels.resize(own);
-        if (parcels.empty())
-            return;
-    }
     // The one funnel every undeliverable parcel passes through: per-cause
     // counter (the /net/count/delivery-errors/* family), the matching
     // trace event, then the delivery-error handler for each parcel.

@@ -58,7 +58,6 @@
 #include <coal/common/pressure.hpp>
 #include <coal/common/spinlock.hpp>
 #include <coal/common/unique_function.hpp>
-#include <coal/net/topology.hpp>
 #include <coal/net/transport.hpp>
 #include <coal/parcel/action_registry.hpp>
 #include <coal/parcel/flow_control.hpp>
@@ -137,29 +136,6 @@ struct parcelhandler_counters
     /// "confirmed delivered" half of the chaos-soak conservation law
     /// confirmed + failed + shed == offered.
     std::atomic<std::uint64_t> parcels_confirmed{0};
-    // Hierarchical (two-level) aggregation (/coal/hierarchy/*; zero
-    // while relay routing is off):
-    /// Parcels this locality received as a node relay and re-routed to
-    /// their final destination.
-    std::atomic<std::uint64_t> parcels_relayed{0};
-    /// Relayed parcels forwarded over intra-node links (the fan-out leg).
-    std::atomic<std::uint64_t> parcels_fanned_out{0};
-    /// Forwarded parcels acknowledged by their final destination — the
-    /// completion half of the relay ledger.  These do NOT count into
-    /// parcels_confirmed: the origin already counted the parcel when this
-    /// relay acked custody of it.
-    std::atomic<std::uint64_t> parcels_relay_confirmed{0};
-    /// Forwarded parcels this relay could not deliver (destination died,
-    /// link down, or the relay crashed holding them).  Custody was
-    /// already confirmed to the origin, so these are the at-most-once
-    /// window of the relay hop; they bypass the per-cause delivery-error
-    /// counters and handler (origin-keyed accounting).
-    std::atomic<std::uint64_t> parcels_relay_failed{0};
-    /// Wire messages this locality sent across a node boundary / within
-    /// its node (classified by the installed topology; both zero when no
-    /// topology is installed).
-    std::atomic<std::uint64_t> messages_inter_node{0};
-    std::atomic<std::uint64_t> messages_intra_node{0};
     // Coalescing flush deadlines (/timers/*):
     /// Queues sent because their flush deadline passed (flush_due).
     std::atomic<std::uint64_t> deadline_flushes{0};
@@ -300,36 +276,6 @@ public:
         invoke_ctx_.find_component = std::move(resolver);
     }
 
-    /// Install the locality-to-node topology and enable/disable relay
-    /// routing (two-level aggregation).  Like set_component_resolver this
-    /// must be called before traffic starts: the fields are read without
-    /// synchronization on every send and receive afterwards.  With relay
-    /// routing on, cross-node coalesced batches ship to a single relay
-    /// locality on the destination node, whose receive path fans them out
-    /// over intra-node links (forward_parcel).
-    void set_topology(net::topology topo, bool relay_routing)
-    {
-        topo_ = topo;
-        relay_routing_ = relay_routing && topo.enabled();
-    }
-
-    [[nodiscard]] net::topology const& topo() const noexcept
-    {
-        return topo_;
-    }
-
-    /// True when cross-node parcels take the two-level relay path.
-    [[nodiscard]] bool relay_routing() const noexcept
-    {
-        return relay_routing_;
-    }
-
-    /// Re-route a parcel that arrived here as the node relay but is
-    /// destined elsewhere: counts it, then dispatches it like put_parcel
-    /// *without* re-stamping p.source (responses must still route to the
-    /// origin).  Runs on the executing worker inside a chunk task.
-    void forward_parcel(parcel&& p);
-
     /// Register a callback completing a local promise; returns the
     /// continuation id to embed in the outgoing parcel.
     continuation_id register_response_callback(
@@ -438,15 +384,6 @@ public:
     /// The failure detector's current verdict on `dst` (alive when the
     /// peer is unknown).
     [[nodiscard]] peer_status peer_liveness(std::uint32_t dst) const;
-
-    /// Lock-free gate for liveness scans (relay selection): true while
-    /// the failure detector trusts every peer — no suspected or dead
-    /// marks anywhere.  Steady state is two relaxed gauge loads.
-    [[nodiscard]] bool all_peers_live() const noexcept
-    {
-        return suspected_peers_.load(std::memory_order_acquire) == 0 &&
-            dead_peers_.load(std::memory_order_acquire) == 0;
-    }
 
     /// Aggregate membership gauges the /net/health counters read.
     /// known_peers is the footprint: peers with protocol state.
@@ -689,17 +626,12 @@ private:
     void divert(message_handler& handler, parcel&& p);
     /// progress()'s deadline check: if the earliest flush deadline is
     /// due, claim it, run every handler's flush_due() and re-arm the
-    /// earliest deadline they still hold.  True when it claimed one.
+    /// earliest deadline they still hold.  True when it sent a queue.
     bool flush_due_handlers();
 
     std::uint32_t here_;
     net::transport& transport_;
     threading::scheduler& scheduler_;
-
-    /// Locality-to-node map + relay-routing switch (set_topology; both
-    /// immutable once traffic starts).
-    net::topology topo_{};
-    bool relay_routing_ = false;
 
     mpmc_queue<send_job> outbound_;
     mpmc_queue<inbound_message> inbox_;

@@ -73,11 +73,6 @@ struct unacked_frame
     serialization::wire_message frame;
     std::size_t bytes = 0;        ///< wire size, counted in unacked_bytes
     std::uint32_t parcels = 0;    ///< parcel count, for parcels_confirmed
-    /// How many of `parcels` this locality forwarded as a node relay
-    /// (parcel source != self).  Their acks confirm the relay ledger
-    /// (/coal/hierarchy/relay-confirmed), not parcels_confirmed — the
-    /// origin already counted them when this relay acked custody.
-    std::uint32_t forwarded = 0;
     std::int64_t first_send_ns = 0;
     std::int64_t deadline_ns = 0;
     std::int64_t rto_ns = 0;

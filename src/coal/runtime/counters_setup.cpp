@@ -306,28 +306,6 @@ void runtime::register_counters()
             "bytes transmitted (message frames)"},
         {"/data/count/received", cumulative, parcels(&C::bytes_received),
             "bytes received (message frames)"},
-        // ---- hierarchical (two-level) aggregation ----------------------
-        {"/coal/hierarchy/relayed", cumulative, parcels(&C::parcels_relayed),
-            "parcels received as a node relay and re-routed to their final "
-            "destination"},
-        {"/coal/hierarchy/fanned-out", cumulative,
-            parcels(&C::parcels_fanned_out),
-            "relayed parcels forwarded over intra-node links (the fan-out "
-            "leg)"},
-        {"/coal/hierarchy/relay-confirmed", cumulative,
-            parcels(&C::parcels_relay_confirmed),
-            "forwarded parcels acknowledged by their final destination (the "
-            "completion half of the relay custody ledger)"},
-        {"/coal/hierarchy/relay-failed", cumulative,
-            parcels(&C::parcels_relay_failed),
-            "forwarded parcels lost from relay custody (destination death, "
-            "link down, or relay crash after confirming the origin)"},
-        {"/coal/hierarchy/inter-node-messages", cumulative,
-            parcels(&C::messages_inter_node),
-            "wire messages sent across a node boundary (topology-classified)"},
-        {"/coal/hierarchy/intra-node-messages", cumulative,
-            parcels(&C::messages_intra_node),
-            "wire messages sent within a node (topology-classified)"},
         // ---- reliability & fault injection (/net) ----------------------
         {"/net/count/drops", cumulative, transport(&X::messages_dropped),
             "messages lost by the transport (shutdown races, missing handlers, "

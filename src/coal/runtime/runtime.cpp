@@ -8,7 +8,6 @@
 #include <coal/parcel/action_registry.hpp>
 #include <coal/serialization/buffer_pool.hpp>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <latch>
@@ -22,21 +21,6 @@ runtime::runtime(runtime_config config)
     COAL_ASSERT_MSG(config_.num_localities > 0, "need at least one locality");
     COAL_ASSERT_MSG(
         config_.workers_per_locality > 0, "need at least one worker");
-
-    // Test/CI knob: force a node topology (and hierarchical routing) onto
-    // runtimes that did not ask for one, so existing suites can be
-    // re-validated with cross-node relaying engaged.  Configs that set
-    // their own topology are left alone.
-    if (char const* force = std::getenv("COAL_FORCE_NUM_NODES");
-        force != nullptr && config_.num_nodes <= 1)
-    {
-        auto const n = static_cast<std::uint32_t>(std::atoi(force));
-        if (n > 1)
-        {
-            config_.num_nodes = std::min(n, config_.num_localities);
-            config_.hierarchical_routing = true;
-        }
-    }
 
     // Test/CI knob: COAL_TRANSPORT=tcp|uds reroutes default-"sim" configs
     // onto the real socket parcelport, so the reliability / flow-control /
@@ -61,8 +45,6 @@ runtime::runtime(runtime_config config)
         "local rank range exceeds the locality count");
 
     agas_ = std::make_unique<agas::address_space>(config_.num_localities);
-
-    net::topology const topo{config_.num_localities, config_.num_nodes};
 
     std::unique_ptr<net::transport> base;
     if (config_.transport == "tcp" || config_.transport == "uds")
@@ -90,7 +72,7 @@ runtime::runtime(runtime_config config)
         COAL_ASSERT_MSG(config_.transport == "sim",
             "transport must be sim, loopback, tcp or uds");
         base = std::make_unique<net::sim_network>(
-            topo, config_.network, config_.network_intra);
+            config_.num_localities, config_.network);
     }
 
     if (config_.faults.active())
@@ -142,9 +124,6 @@ runtime::runtime(runtime_config config)
             [this](agas::gid target, std::type_index expected) {
                 return agas_->find_erased(target, expected);
             });
-        // Topology + relay routing must be installed before traffic too:
-        // both are read without synchronization on every send/receive.
-        loc->parcels().set_topology(topo, config_.hierarchical_routing);
     }
 
     if (config_.apply_coalescing_defaults)

@@ -34,22 +34,8 @@ struct runtime_config
     std::uint32_t num_localities = 2;
     unsigned workers_per_locality = 1;
 
-    /// Interconnect cost model (used by the "sim" transport).  With a
-    /// topology (num_nodes > 1) this prices the inter-node tier.
+    /// Interconnect cost model (used by the "sim" transport).
     net::cost_model network{};
-
-    /// Topology: group the localities into this many "nodes" (block
-    /// partition).  <= 1 keeps the interconnect flat (single tier).
-    std::uint32_t num_nodes = 1;
-
-    /// Cost model for links within a node (only used when num_nodes > 1).
-    net::cost_model network_intra = net::cost_model::intra_node_defaults();
-
-    /// Two-level aggregation: with a topology enabled, route cross-node
-    /// coalesced traffic through one relay locality per destination node
-    /// and fan out over intra-node links there.  No effect while
-    /// num_nodes <= 1.
-    bool hierarchical_routing = false;
 
     /// Wire selection: "sim" (default; the cost-model interconnect),
     /// "loopback" (zero-cost synchronous delivery for timing-independent

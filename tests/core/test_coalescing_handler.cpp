@@ -238,6 +238,44 @@ TEST(CoalescingHandler, SizeFlushDisarmsDeadline)
     EXPECT_EQ(h.wire_messages(), 1u);
 }
 
+// A size flush leaves the parcelhandler's earliest deadline armed.  The
+// progress() call that claims that stale deadline flushes nothing, so it
+// must report no work: a true here is counted as background time and
+// keeps a worker's warm-poll window open.
+TEST(CoalescingHandler, StaleDeadlinePollReportsNoWork)
+{
+    auto p = deadline_only(50000);
+    p.nparcels = 4;
+    handler_harness h(p);
+
+    // Hold sched0's only worker, so no progress() but ours runs on ph0.
+    std::atomic<bool> release{false};
+    std::atomic<bool> holding{false};
+    h.sched0.post([&] {
+        holding = true;
+        while (!release.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    while (!holding.load())
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+
+    auto const armed_at = std::chrono::steady_clock::now();
+    for (int i = 0; i != 4; ++i)
+        h.handler.enqueue(h.make_parcel());
+    EXPECT_EQ(h.handler.size_flushes(), 1u);
+    // Send the size-flushed batch, then poll past the old deadline.
+    while (h.ph0.pending_sends() != 0)
+        h.ph0.progress();
+    std::this_thread::sleep_until(armed_at + std::chrono::milliseconds(60));
+    bool const worked = h.ph0.progress();
+    release = true;
+
+    EXPECT_FALSE(worked);
+    EXPECT_EQ(h.ph0.counters().deadline_flushes.load(), 0u);
+    EXPECT_EQ(h.handler.timer_flushes(), 0u);
+    EXPECT_EQ(h.wire_messages(), 1u);
+}
+
 TEST(CoalescingHandler, ManyDeadlinesAllFlush)
 {
     constexpr int n = 20;

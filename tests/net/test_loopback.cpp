@@ -27,7 +27,7 @@ TEST(Loopback, SynchronousDelivery)
 TEST(Loopback, ZeroModeledCosts)
 {
     loopback_transport net(2);
-    EXPECT_DOUBLE_EQ(net.recv_overhead_us(0, 1), 0.0);
+    EXPECT_DOUBLE_EQ(net.recv_overhead_us(), 0.0);
 }
 
 TEST(Loopback, StatsMirrorTraffic)

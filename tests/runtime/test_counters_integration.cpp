@@ -57,21 +57,6 @@ void round_trips(runtime& rt, int n)
 // The full catalogue, sorted by path: renaming a counter or editing its
 // help string is a visible change and must show up here.
 std::vector<std::pair<std::string, std::string>> const golden_catalogue{
-    {"/coal/hierarchy/fanned-out",
-        "relayed parcels forwarded over intra-node links (the fan-out leg)"},
-    {"/coal/hierarchy/inter-node-messages",
-        "wire messages sent across a node boundary (topology-classified)"},
-    {"/coal/hierarchy/intra-node-messages",
-        "wire messages sent within a node (topology-classified)"},
-    {"/coal/hierarchy/relay-confirmed",
-        "forwarded parcels acknowledged by their final destination (the "
-        "completion half of the relay custody ledger)"},
-    {"/coal/hierarchy/relay-failed",
-        "forwarded parcels lost from relay custody (destination death, link "
-        "down, or relay crash after confirming the origin)"},
-    {"/coal/hierarchy/relayed",
-        "parcels received as a node relay and re-routed to their final "
-        "destination"},
     {"/coal/pool/count/fallback-cap-hits",
         "capped acquires refused because live fallback bytes were at the "
         "configured cap"},
