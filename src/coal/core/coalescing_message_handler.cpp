@@ -94,9 +94,9 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
         return;
     }
 
-    // Per-link circuit breaker: while the reliability layer reports the
-    // link as degraded, batching only stacks coalescing delay on top of
-    // retransmission timeouts.  Flush whatever is queued for the
+    // Degraded link (dark, credit-starved or suspected peer): batching
+    // only stacks coalescing delay on top of retransmission timeouts.
+    // Flush whatever is queued for the
     // destination and send this parcel along immediately (effectively
     // nparcels = 1 until the link heals).
     if (parcels_.link_degraded(dst))

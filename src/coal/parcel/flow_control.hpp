@@ -28,12 +28,12 @@
 ///
 ///  - **Slow-peer detection and link failure.**  A link whose sender has
 ///    been credit-starved (deferred jobs, no grant movement) longer than
-///    `starvation_trip_us` trips the existing per-link circuit breaker.
-///    Once the breaker is open *and* the link's in-flight + deferred
-///    bytes have hit `link_inflight_cap_bytes`, further sends for that
-///    link fail with a distinct `link_down` error instead of retaining
-///    frames forever — the retransmission table stays capped through a
-///    blackout of any length.
+///    `starvation_trip_us` is degraded, like a dark link (see link_health
+///    in peer_table.hpp).  A dark or starved link whose in-flight +
+///    deferred bytes have hit `link_inflight_cap_bytes` is *down*: further
+///    sends and its deferred jobs fail with a distinct `link_down` error
+///    instead of being retained forever — the retransmission table stays
+///    capped through a blackout of any length.
 ///
 /// Flow control rides on the reliability layer (credits travel in the
 /// ack fields), so enabling it forces `reliability_params::enabled`.
@@ -51,9 +51,9 @@ enum class delivery_error : std::uint8_t
     /// the producer) is the caller's decision.
     shed_overload,
 
-    /// The destination link's circuit breaker is open and its in-flight
-    /// byte cap is exhausted: the link is treated as down and the parcel
-    /// will not be queued behind an unbounded blackout.
+    /// The destination link is down — dark or credit-starved with its
+    /// in-flight byte cap exhausted — and the parcel will not be queued
+    /// behind an unbounded blackout.
     link_down,
 
     /// The membership layer declared the destination locality dead (or it
@@ -101,13 +101,13 @@ struct flow_params
     std::uint64_t min_window_bytes = 64 * 1024;
 
     /// Per-link pressure thresholds over unacknowledged + deferred bytes:
-    /// `soft` at link_soft_bytes; `critical` — and, with an open breaker,
-    /// the link_down failure mode — at link_inflight_cap_bytes.
+    /// `soft` at link_soft_bytes; `critical` — and, on a dark or starved
+    /// link, link_health::down — at link_inflight_cap_bytes.
     std::uint64_t link_soft_bytes = 1u << 20;
     std::uint64_t link_inflight_cap_bytes = 4u << 20;
 
     /// Continuous credit starvation (deferred jobs waiting, no grant
-    /// movement) on one link longer than this trips its circuit breaker.
+    /// movement) on one link longer than this degrades the link.
     std::int64_t starvation_trip_us = 100000;
 
     /// Buffer-pool watermarks the runtime applies to the global pool

@@ -17,12 +17,13 @@
 ///  - **Phi-accrual suspicion.**  Per peer, the receiver keeps an EWMA
 ///    of frame interarrival times and scores silence as
 ///    `phi = elapsed / max(ewma, heartbeat_interval)`.  Crossing
-///    `suspect_phi` marks the peer *suspected* (coalescing bypasses
-///    batching, exactly like an open breaker); crossing `dead_phi` —
-///    but never before `min_dead_us` of silence — declares it *dead*:
-///    all queued/deferred/retransmit-held parcels for the peer fail with
-///    `delivery_error::peer_failed`, and its seq/credit/breaker state is
-///    torn down; the peer's entry keeps only the fenced epoch.
+///    `suspect_phi` marks the peer *suspected*, one of the causes of a
+///    degraded link (link_health in peer_table.hpp: coalescing bypasses
+///    batching, but suspicion alone never takes the link down); crossing
+///    `dead_phi` — but never before `min_dead_us` of silence — declares
+///    it *dead*: all queued/deferred/retransmit-held parcels for the peer
+///    fail with `delivery_error::peer_failed`, and its seq/credit/link
+///    state is torn down; the peer's entry keeps only the fenced epoch.
 ///
 ///  - **Incarnation epochs.**  Every locality runs under an epoch
 ///    (starting at 1, bumped on restart) and every frame carries both

@@ -28,6 +28,16 @@ namespace {
         return static_cast<double>(x >> 11) * 0x1.0p-53;
     }
 
+    /// Move a "links in this state" gauge as one link enters or leaves
+    /// the state.  Mutated only under the link's peer lock.
+    void step_gauge(std::atomic<std::size_t>& gauge, bool was, bool is) noexcept
+    {
+        if (was && !is)
+            gauge.fetch_sub(1, std::memory_order_release);
+        else if (is && !was)
+            gauge.fetch_add(1, std::memory_order_release);
+    }
+
     /// Marks a message as in-progress for the duration of a progress_*
     /// body.  Incremented before the queue pop and released only after
     /// the downstream handoff (transport send / task post), so pending
@@ -493,7 +503,7 @@ bool parcelhandler::progress_send()
             }
             else if (flow_.enabled)
             {
-                if (link_down_locked(peer))
+                if (peer.health == link_health::down)
                 {
                     down = true;
                 }
@@ -512,7 +522,7 @@ bool parcelhandler::progress_send()
                     deferred_sends_.fetch_add(1, std::memory_order_release);
                     counters_.sends_deferred.fetch_add(
                         1, std::memory_order_relaxed);
-                    update_link_pressure_locked(peer);
+                    update_link_locked(dst, peer, now);
                     deferred = true;
                 }
             }
@@ -596,15 +606,11 @@ bool parcelhandler::progress_send()
                 // guaranteed stable.
                 flat = it->second.frame.flatten_copy();
                 unacked_total_.fetch_add(1, std::memory_order_release);
-                maybe_trip_breaker_locked(dst, peer);
-                if (flow_.enabled)
-                {
-                    // The last released job is out: jobs deferred behind
-                    // it only for ordering may fit the window now.
-                    if (released && peer.released_bytes == 0)
-                        release_deferred_locked(peer, more, now);
-                    update_link_pressure_locked(peer);
-                }
+                // The last released job is out: jobs deferred behind it
+                // only for ordering may fit the window now.
+                if (released && peer.released_bytes == 0)
+                    release_deferred_locked(peer, more, now);
+                update_link_locked(dst, peer, now);
             }
         }
         requeue_released(more);
@@ -966,26 +972,9 @@ void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
             }
         }
 
-        // Close only once no retained frame still satisfies the trip
-        // predicate: a blackout-era frame keeps its attempt count after
-        // the link heals, and closing on backlog size alone would let
-        // the very next service re-trip on it.  The tick-driven walk
-        // re-evaluated the trip within one progress tick, so the closed
-        // window was never observable; with event-driven service the
-        // window is a full heartbeat interval, long enough for a caller
-        // to read a healthy link and resume batching prematurely.
-        if (peer.breaker_open &&
-            peer.unacked.size() <= breaker_close_backlog &&
-            (peer.unacked.empty() ||
-                peer.unacked.begin()->second.attempts <=
-                    reliability_.breaker_trip_attempts))
-        {
-            peer.breaker_open = false;
-            open_breakers_.fetch_sub(1, std::memory_order_release);
-            COAL_LOG_INFO("parcel",
-                "link %u->%u healed: circuit breaker closed", here_, src);
-        }
-
+        // The acks may have retired a dark link's frames: re-derive the
+        // link before releasing deferred jobs, which a down link keeps.
+        update_link_locked(src, peer, now);
         if (flow_.enabled)
         {
             // Apply the piggybacked window grant (biased by one on the
@@ -1003,7 +992,7 @@ void parcelhandler::handle_acks(std::uint32_t src, frame_header const& hdr)
             // deferred jobs a chance immediately rather than waiting for
             // the next service tick.
             release_deferred_locked(peer, released, now);
-            update_link_pressure_locked(peer);
+            update_link_locked(src, peer, now);
             if (!peer.deferred.empty())
                 rearm = std::min(rearm, now + defer_service_us * 1000);
         }
@@ -1052,26 +1041,6 @@ std::int64_t parcelhandler::initial_rto_ns_locked(peer_state const& peer) const
             static_cast<double>(reliability_.min_rto_us),
             static_cast<double>(reliability_.max_rto_us));
     return static_cast<std::int64_t>(rto_us * 1000.0);
-}
-
-void parcelhandler::maybe_trip_breaker_locked(
-    std::uint32_t dst, peer_state& peer)
-{
-    if (peer.breaker_open)
-        return;
-    bool trip = peer.unacked.size() >= reliability_.breaker_trip_backlog;
-    if (!trip && !peer.unacked.empty())
-        trip = peer.unacked.begin()->second.attempts >
-            reliability_.breaker_trip_attempts;
-    if (!trip)
-        return;
-    peer.breaker_open = true;
-    open_breakers_.fetch_add(1, std::memory_order_release);
-    counters_.circuit_breaker_trips.fetch_add(1, std::memory_order_relaxed);
-    COAL_LOG_WARN("parcel",
-        "link %u->%u degraded (%zu unacked): circuit breaker open, "
-        "coalescing bypassed",
-        here_, dst, peer.unacked.size());
 }
 
 std::int64_t parcelhandler::service_peer(peer_entry& e)
@@ -1129,37 +1098,15 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
 
         if (flow_.enabled && peer.status != peer_status::dead)
         {
-            // Slow-peer detector: a link that has kept jobs deferred for
-            // starvation_trip_us without any grant movement is treated
-            // like a dark link — trip its circuit breaker so the
-            // coalescer bypasses batching and, once the byte cap is also
-            // exhausted, sends fail as link_down.
-            if (!peer.breaker_open && !peer.deferred.empty() &&
-                peer.starved_since_ns != 0 &&
-                now - peer.starved_since_ns >=
-                    flow_.starvation_trip_us * 1000)
+            // Credit starvation is timed: re-derive the link first.
+            update_link_locked(dst, peer, now);
+            if (peer.health == link_health::down && !peer.deferred.empty())
             {
-                peer.breaker_open = true;
-                open_breakers_.fetch_add(1, std::memory_order_release);
-                counters_.starvation_trips.fetch_add(
-                    1, std::memory_order_relaxed);
-                counters_.circuit_breaker_trips.fetch_add(
-                    1, std::memory_order_relaxed);
-                peer.starved_since_ns = now;
-                COAL_LOG_WARN("parcel",
-                    "link %u->%u credit-starved for %lld us: circuit "
-                    "breaker open",
-                    here_, dst,
-                    static_cast<long long>(flow_.starvation_trip_us));
-            }
-
-            if (link_down_locked(peer) && !peer.deferred.empty())
-            {
-                // Dark link past its byte cap: retained frames stay (they
-                // are what exactly-once delivery replays if the link
-                // heals) but deferred jobs — which never consumed a
-                // sequence number — fail with a distinct error instead of
-                // queueing behind an unbounded blackout.
+                // Down link: retained frames stay (they are what
+                // exactly-once delivery replays if the link heals) but
+                // deferred jobs — which never consumed a sequence number
+                // — fail with a distinct error instead of queueing
+                // behind an unbounded blackout.
                 while (!peer.deferred.empty())
                 {
                     send_job& front = peer.deferred.front();
@@ -1174,13 +1121,13 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
             {
                 release_deferred_locked(peer, released, now);
             }
-            update_link_pressure_locked(peer);
             if (!peer.deferred.empty())
             {
                 closer(now + defer_service_us * 1000);
-                if (!peer.breaker_open && peer.starved_since_ns != 0)
-                    closer(peer.starved_since_ns +
-                        flow_.starvation_trip_us * 1000);
+                std::int64_t const starves_at = peer.starved_since_ns +
+                    flow_.starvation_trip_us * 1000;
+                if (starves_at > now)
+                    closer(starves_at);
             }
         }
 
@@ -1238,7 +1185,6 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
             resends.push_back(u.frame.flatten_copy());
             counters_.retransmits.fetch_add(1, std::memory_order_relaxed);
         }
-        maybe_trip_breaker_locked(dst, peer);
 
         if (membership_.enabled)
         {
@@ -1301,7 +1247,6 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
                     net_phi >= membership_.suspect_phi)
                 {
                     peer.status = peer_status::suspected;
-                    suspected_peers_.fetch_add(1, std::memory_order_release);
                     counters_.peers_suspected.fetch_add(
                         1, std::memory_order_relaxed);
                     trace::tracer::global().record(here_,
@@ -1317,9 +1262,6 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
                     elapsed_us >=
                         static_cast<double>(membership_.min_dead_us))
                 {
-                    if (peer.status == peer_status::suspected)
-                        suspected_peers_.fetch_sub(
-                            1, std::memory_order_release);
                     peer.status = peer_status::dead;
                     dead_peers_.fetch_add(1, std::memory_order_release);
                     counters_.peers_declared_dead.fetch_add(
@@ -1361,6 +1303,8 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
                 }
             }
         }
+        // Retransmits raised attempt counts, suspicion may have changed.
+        update_link_locked(dst, peer, now);
     }
 
     // Everything with side effects outside the peer happens after the
@@ -1421,17 +1365,13 @@ std::size_t parcelhandler::pending_reliability() const
 
 bool parcelhandler::link_degraded(std::uint32_t dst) const
 {
-    // Fast path for the coalescer's enqueue: with no breaker open and no
-    // peer suspected anywhere (the steady state), answer from atomic
-    // loads without touching any lock.
-    if (!reliability_.enabled ||
-        (open_breakers_.load(std::memory_order_acquire) == 0 &&
-            suspected_peers_.load(std::memory_order_acquire) == 0))
+    // Fast path for the coalescer's enqueue: with every link healthy (the
+    // steady state), one atomic load and no lock.
+    if (degraded_links_.load(std::memory_order_acquire) == 0)
         return false;
     peer_entry const& e = peers_[dst];
     std::lock_guard lock(e.lock);
-    return e.live != nullptr &&
-        (e.live->breaker_open || e.live->status == peer_status::suspected);
+    return e.live != nullptr && e.live->health != link_health::healthy;
 }
 
 pressure_state parcelhandler::flow_pressure(std::uint32_t dst) const
@@ -1501,17 +1441,10 @@ bool parcelhandler::should_defer_locked(
     return peer.unacked_bytes + bytes > window;
 }
 
-bool parcelhandler::link_down_locked(peer_state const& peer) const noexcept
-{
-    return peer.breaker_open && flow_.link_inflight_cap_bytes != 0 &&
-        peer.unacked_bytes + peer.deferred_bytes >=
-            flow_.link_inflight_cap_bytes;
-}
-
 void parcelhandler::release_deferred_locked(
     peer_state& peer, std::vector<send_job>& released, std::int64_t now)
 {
-    if (peer.deferred.empty() || link_down_locked(peer))
+    if (peer.deferred.empty() || peer.health == link_health::down)
         return;
     std::uint64_t const window =
         peer.has_credit ? peer.credit_window : flow_.initial_window_bytes;
@@ -1551,31 +1484,56 @@ void parcelhandler::requeue_released(std::vector<send_job>& released)
     }
 }
 
-void parcelhandler::update_link_pressure_locked(peer_state& peer)
+void parcelhandler::update_link_locked(
+    std::uint32_t dst, peer_state& peer, std::int64_t now)
 {
     std::uint64_t const total = peer.unacked_bytes + peer.deferred_bytes;
-    pressure_state next = pressure_state::ok;
-    if (flow_.link_inflight_cap_bytes != 0 &&
-        total >= flow_.link_inflight_cap_bytes)
-        next = pressure_state::critical;
-    else if (flow_.link_soft_bytes != 0 && total >= flow_.link_soft_bytes)
-        next = pressure_state::soft;
-    if (next == peer.link_pressure)
-        return;
-    pressure_state const prev = peer.link_pressure;
-    peer.link_pressure = next;
-    // Two transition counters keep current_pressure() O(1); the old code
-    // recomputed the max over every peer under the global lock here.
-    if (prev == pressure_state::ok && next != pressure_state::ok)
-        pressured_links_.fetch_add(1, std::memory_order_relaxed);
-    else if (prev != pressure_state::ok && next == pressure_state::ok)
-        pressured_links_.fetch_sub(1, std::memory_order_relaxed);
-    if (prev != pressure_state::critical &&
-        next == pressure_state::critical)
-        links_critical_.fetch_add(1, std::memory_order_relaxed);
-    else if (prev == pressure_state::critical &&
-        next != pressure_state::critical)
-        links_critical_.fetch_sub(1, std::memory_order_relaxed);
+    bool const capped = flow_.enabled && flow_.link_inflight_cap_bytes != 0 &&
+        total >= flow_.link_inflight_cap_bytes;
+    if (flow_.enabled)
+    {
+        pressure_state const was = peer.link_pressure;
+        peer.link_pressure = capped ? pressure_state::critical :
+            flow_.link_soft_bytes != 0 && total >= flow_.link_soft_bytes ?
+                                      pressure_state::soft :
+                                      pressure_state::ok;
+        step_gauge(pressured_links_, was != pressure_state::ok,
+            peer.link_pressure != pressure_state::ok);
+        step_gauge(links_critical_, was == pressure_state::critical,
+            peer.link_pressure == pressure_state::critical);
+    }
+
+    // Each cause is a predicate over the peer's state: it exits when the
+    // predicate that made it enter turns false (see link_health).
+    bool const dark = !peer.unacked.empty() &&
+        peer.unacked.begin()->second.attempts > dark_link_attempts;
+    bool const starved = peer.starved_since_ns != 0 &&
+        now - peer.starved_since_ns >= flow_.starvation_trip_us * 1000;
+    link_health const was = peer.health;
+    if (dark || starved)
+        peer.health = capped ? link_health::down : link_health::degraded;
+    else
+        peer.health = peer.status == peer_status::suspected ?
+            link_health::degraded :
+            link_health::healthy;
+    step_gauge(degraded_links_, was != link_health::healthy,
+        peer.health != link_health::healthy);
+    // Suspicion counts and logs itself (service_peer).
+    if (was == link_health::healthy && (dark || starved))
+    {
+        counters_.circuit_breaker_trips.fetch_add(
+            1, std::memory_order_relaxed);
+        if (starved)
+            counters_.starvation_trips.fetch_add(1, std::memory_order_relaxed);
+        COAL_LOG_WARN("parcel",
+            "link %u->%u degraded (%s): coalescing bypassed", here_, dst,
+            dark ? "dark link" : "credit-starved");
+    }
+    else if (was != link_health::healthy && peer.health == link_health::healthy)
+    {
+        COAL_LOG_INFO("parcel", "link %u->%u healed: batching resumes",
+            here_, dst);
+    }
 }
 
 void parcelhandler::fail_job(delivery_error err, send_job&& job)
@@ -1583,8 +1541,8 @@ void parcelhandler::fail_job(delivery_error err, send_job&& job)
     if (err == delivery_error::link_down)
     {
         COAL_LOG_WARN("parcel",
-            "link %u->%u down: %zu parcels failed (breaker open, in-flight "
-            "cap exhausted)",
+            "link %u->%u down: %zu parcels failed (dark or credit-starved "
+            "at its in-flight cap)",
             here_, job.dst, job.parcels.size());
     }
     fail_parcels(err, std::move(job.parcels));
@@ -1693,13 +1651,7 @@ void parcelhandler::fence_peer_locked(
         peer.ack_pending = false;
         acks_pending_.fetch_sub(1, std::memory_order_release);
     }
-    if (peer.breaker_open)
-    {
-        peer.breaker_open = false;
-        open_breakers_.fetch_sub(1, std::memory_order_release);
-    }
-    if (flow_.enabled)
-        update_link_pressure_locked(peer);
+    update_link_locked(e.id, peer, now_ns());
 }
 
 std::size_t parcelhandler::fail_fenced(fenced_state&& fenced)
@@ -1781,9 +1733,7 @@ bool parcelhandler::membership_admit(
                 // to its previous incarnation, then admit the frame under
                 // the new epoch.
                 fence_peer_locked(e, peer, fenced);
-                if (peer.status == peer_status::suspected)
-                    suspected_peers_.fetch_sub(1, std::memory_order_release);
-                else if (peer.status == peer_status::dead)
+                if (peer.status == peer_status::dead)
                     dead_peers_.fetch_sub(1, std::memory_order_release);
                 peer.status = peer_status::alive;
                 peer.epoch = hdr.src_epoch;
@@ -1820,10 +1770,10 @@ bool parcelhandler::membership_admit(
         if (peer.status == peer_status::suspected)
         {
             peer.status = peer_status::alive;
-            suspected_peers_.fetch_sub(1, std::memory_order_release);
             COAL_LOG_INFO("parcel",
                 "peer %u heard from again: suspicion cleared", src);
         }
+        update_link_locked(src, peer, now);
         // Destination-epoch rules.
         std::uint32_t const self =
             self_epoch_.load(std::memory_order_relaxed);
@@ -1914,7 +1864,14 @@ parcelhandler::health_snapshot parcelhandler::health() const
 {
     health_snapshot s;
     s.known_peers = peers_.active();
-    s.suspected_peers = suspected_peers_.load(std::memory_order_relaxed);
+    // Counted on read, one entry lock at a time: a counter read is rare,
+    // and the coalescer's fast path reads degraded_links_ instead.
+    for (peer_entry const& e : peers_)
+    {
+        std::lock_guard lock(e.lock);
+        if (e.live && e.live->status == peer_status::suspected)
+            ++s.suspected_peers;
+    }
     s.dead_peers = dead_peers_.load(std::memory_order_relaxed);
     return s;
 }
@@ -1933,6 +1890,7 @@ namespace {
     {
         d.known = true;
         d.status = peer.status;
+        d.health = peer.health;
         d.epoch = peer.epoch;
         d.unacked_frames = peer.unacked.size();
         d.held_frames = peer.held.size();
@@ -2025,9 +1983,9 @@ void parcelhandler::simulate_crash()
             fence_peer_locked(e, *e.live, f);
             if (!f.unacked.empty() || !f.deferred.empty())
                 fenced_all.push_back(std::move(f));
-            if (e.live->status == peer_status::suspected)
-                suspected_peers_.fetch_sub(1, std::memory_order_release);
-            else if (e.live->status == peer_status::dead)
+            step_gauge(degraded_links_,
+                e.live->health != link_health::healthy, false);
+            if (e.live->status == peer_status::dead)
                 dead_peers_.fetch_sub(1, std::memory_order_release);
             peers_.reset(e);
         }

@@ -48,10 +48,10 @@
 /// inbound frame updates the per-peer send window, and progress_send
 /// *defers* jobs that would overrun the window onto a per-peer queue
 /// instead of handing them to the wire.  Admission control in put_parcel
-/// sheds best-effort parcels under critical pressure, and a link whose
-/// breaker is open with its in-flight byte cap exhausted fails sends
-/// with `delivery_error::link_down`.  See flow_control.hpp for the full
-/// protocol description.
+/// sheds best-effort parcels under critical pressure, and a link that is
+/// `link_health::down` (dark or credit-starved, with its in-flight byte
+/// cap exhausted) fails sends with `delivery_error::link_down`.  See
+/// flow_control.hpp for the full protocol description.
 
 #include <coal/common/cacheline.hpp>
 #include <coal/common/mpmc_queue.hpp>
@@ -101,6 +101,8 @@ struct parcelhandler_counters
     std::atomic<std::uint64_t> acks_sent{0};    ///< standalone ack frames
     std::atomic<std::uint64_t> ack_latency_ns{0};
     std::atomic<std::uint64_t> acked_messages{0};
+    /// Links that became degraded with a dark link or credit starvation
+    /// among the causes (suspicion alone counts as peers_suspected).
     std::atomic<std::uint64_t> circuit_breaker_trips{0};
     // Batched receive pipeline (/threads/receive-pipeline/*):
     std::atomic<std::uint64_t> receive_drains{0};    ///< drains with >=1 frame
@@ -120,7 +122,7 @@ struct parcelhandler_counters
     std::atomic<std::uint64_t> credit_updates{0};  ///< window grants applied
     std::atomic<std::uint64_t> link_down_failures{0};    ///< parcels failed
     std::atomic<std::uint64_t> pressure_transitions{0};
-    std::atomic<std::uint64_t> starvation_trips{0};    ///< slow-peer breaker trips
+    std::atomic<std::uint64_t> starvation_trips{0};    ///< degraded by starvation
     // Membership / failure detection (/net/health/*; zero while off):
     std::atomic<std::uint64_t> heartbeats_sent{0};    ///< standalone liveness frames
     std::atomic<std::uint64_t> peers_suspected{0};    ///< suspicion escalations
@@ -166,17 +168,6 @@ struct reliability_params
     /// Latency-sensitive callers with small windows can lower it.
     std::int64_t min_rto_us = 50000;
     std::int64_t max_rto_us = 200000;
-
-    /// Per-link circuit breaker: opens when the retransmit backlog or the
-    /// oldest frame's attempt count crosses a threshold, closes once the
-    /// backlog drains to parcelhandler::breaker_close_backlog.  An open
-    /// breaker makes the coalescer flush immediately for that destination.
-    /// A healthy burst parks hundreds of unacked frames for one RTT, so
-    /// the backlog threshold must sit well above any sane window, and a
-    /// frame must survive several backoff doublings before its attempt
-    /// count signals a dark link rather than a slow ack.
-    std::size_t breaker_trip_backlog = 4096;
-    unsigned breaker_trip_attempts = 5;
 };
 
 /// Ordering ticket for send_message.  Producers that detach batches
@@ -358,9 +349,10 @@ public:
     /// quiesce() waits on this so retransmits cannot outlive shutdown.
     [[nodiscard]] std::size_t pending_reliability() const;
 
-    /// True while the circuit breaker for the link to `dst` is open or the
-    /// membership layer suspects the peer.  The coalescing handler
-    /// bypasses batching for degraded links.
+    /// True while the link to `dst` is not `link_health::healthy`: dark,
+    /// credit-starved or suspected.  The coalescing handler bypasses
+    /// batching for degraded links.  One atomic load while every link is
+    /// healthy.
     [[nodiscard]] bool link_degraded(std::uint32_t dst) const;
 
     [[nodiscard]] membership_params const& membership() const noexcept
@@ -386,7 +378,8 @@ public:
     [[nodiscard]] peer_status peer_liveness(std::uint32_t dst) const;
 
     /// Aggregate membership gauges the /net/health counters read.
-    /// known_peers is the footprint: peers with protocol state.
+    /// known_peers is the footprint: peers with protocol state;
+    /// suspected_peers is counted by a walk over the peer table.
     struct health_snapshot
     {
         std::size_t known_peers = 0;
@@ -403,6 +396,7 @@ public:
     {
         bool known = false;
         peer_status status = peer_status::alive;
+        link_health health = link_health::healthy;
         std::uint32_t epoch = 0;
         std::size_t unacked_frames = 0;
         std::size_t held_frames = 0;
@@ -493,12 +487,13 @@ private:
     /// deterministic uniform jitter of up to rto_jitter of the result.
     static constexpr double rto_backoff = 2.0;
     static constexpr double rto_jitter = 0.25;
-    /// An open circuit breaker closes once the unacked backlog drains to
-    /// this low-water mark.
-    static constexpr std::size_t breaker_close_backlog = 2;
+    /// A link is dark once its oldest unacked frame has been sent more
+    /// than this many times: it survived several backoff doublings, so
+    /// the ack is missing rather than slow.
+    static constexpr unsigned dark_link_attempts = 5;
     /// Re-arm cadence of the due-ring service for a link with deferred
     /// jobs and no ack traffic driving it (release attempts,
-    /// starvation-trip checks).
+    /// starvation checks).
     static constexpr std::int64_t defer_service_us = 5000;
     /// EWMA gain for the heartbeat interarrival estimate.
     static constexpr double interarrival_gain = 0.125;
@@ -525,7 +520,6 @@ private:
     [[nodiscard]] std::uint64_t sack_bits_locked(peer_state const& peer) const;
     [[nodiscard]] std::int64_t initial_rto_ns_locked(
         peer_state const& peer) const;
-    void maybe_trip_breaker_locked(std::uint32_t dst, peer_state& peer);
     void complete_promise(
         continuation_id id, serialization::shared_buffer&& payload);
 
@@ -553,9 +547,6 @@ private:
     /// cannot deadlock the link.
     [[nodiscard]] bool should_defer_locked(
         peer_state const& peer, std::size_t bytes) const noexcept;
-    /// Is the link to this peer past its in-flight cap with the breaker
-    /// open — i.e. in the link_down failure mode?
-    [[nodiscard]] bool link_down_locked(peer_state const& peer) const noexcept;
     /// Move deferred jobs that now fit the window back to outbound_.
     /// Appends them to `released`; the caller pushes after unlocking,
     /// through requeue_released().
@@ -563,9 +554,15 @@ private:
         peer_state& peer, std::vector<send_job>& released, std::int64_t now);
     /// Push released jobs to outbound_ (peer lock not held).
     void requeue_released(std::vector<send_job>& released);
-    /// Recompute this link's pressure state from its in-flight + deferred
-    /// bytes; maintains the lock-free pressured_links_ fast path.
-    void update_link_pressure_locked(peer_state& peer);
+    /// The one place a link's state is derived, run after every change
+    /// to its in-flight or deferred bytes, its oldest frame's attempts
+    /// or the peer's suspicion: recomputes link_pressure (flow control)
+    /// and `health` from its causes (see link_health), keeps the
+    /// lock-free gauges (pressured_links_, links_critical_,
+    /// degraded_links_) in step, and counts and logs each healthy ->
+    /// degraded transition by cause.
+    void update_link_locked(
+        std::uint32_t dst, peer_state& peer, std::int64_t now);
     /// Fail a job's parcels through the delivery-error handler (called
     /// without peers_lock_ held).
     void fail_job(delivery_error err, send_job&& job);
@@ -584,12 +581,11 @@ private:
     };
     /// Strip every byte of sender+receiver protocol state for a peer:
     /// unacked and deferred parcels move to `out` (to be failed as
-    /// peer_failed), held/ack/credit/seq/breaker state is reset, the
-    /// stream re-binds to the current self epoch (link_epoch), and the
-    /// gauges (open_breakers_, deferred_sends_, pressured_links_ and the
-    /// reliability totals) are adjusted.  The caller decides what the
-    /// fence means (death vs rejoin) and fixes status/epoch afterwards.
-    /// Caller holds e.lock.
+    /// peer_failed), held/ack/credit/seq state is reset, the stream
+    /// re-binds to the current self epoch (link_epoch), and the link
+    /// state and the reliability totals are updated.  The caller decides
+    /// what the fence means (death vs rejoin) and fixes status/epoch
+    /// afterwards.  Caller holds e.lock.
     void fence_peer_locked(
         peer_entry& e, peer_state& peer, fenced_state& out);
     /// Fail everything a fence collected (decodes retained frames back to
@@ -668,10 +664,10 @@ private:
     /// buckets hold entry pointers and must be destroyed first).
     peer_table peers_;
     due_ring ring_;
-    /// Links whose circuit breaker is currently open; lets
-    /// link_degraded() answer "none" without any peer lock.  Mutated
-    /// only under the owning peer's lock.
-    std::atomic<std::size_t> open_breakers_{0};
+    /// Links whose health is not healthy; lets link_degraded() answer
+    /// "none" without any peer lock.  Mutated only under the owning
+    /// peer's lock (update_link_locked and the crash reset).
+    std::atomic<std::size_t> degraded_links_{0};
     /// Links whose link_pressure is above ok / at critical — the
     /// lock-free fast path of flow_pressure()/current_pressure().
     /// Mutated only under the owning peer's lock.
@@ -687,11 +683,8 @@ private:
     std::atomic<std::size_t> unacked_total_{0};
     std::atomic<std::size_t> held_total_{0};
     std::atomic<std::size_t> acks_pending_{0};
-    /// Peers currently suspected / declared dead (gauges; mutated only
-    /// under the owning peer's lock).  Both also serve as lock-free
-    /// fast-path gates: link_degraded() and put_parcel's dead-peer check
-    /// skip the lock while they read zero.
-    std::atomic<std::size_t> suspected_peers_{0};
+    /// Peers currently declared dead (gauge; mutated only under the
+    /// owning peer's lock).  Also put_parcel's lock-free dead-peer gate.
     std::atomic<std::size_t> dead_peers_{0};
     /// This locality's incarnation epoch; starts at 1, bumped by
     /// restart_incarnation().

@@ -94,6 +94,38 @@ struct held_frame
     std::uint32_t count = 0;
 };
 
+/// How usable the link to one peer is, derived in one place
+/// (parcelhandler::update_link_locked) from three causes.  Each cause is a
+/// predicate over the peer's state, entered when it turns true and left
+/// when it turns false: a dark link (the oldest unacked frame was sent
+/// more than parcelhandler::dark_link_attempts times), credit starvation
+/// (deferred jobs waited `flow_params::starvation_trip_us` with no window
+/// movement) and suspicion (peer_status::suspected).
+enum class link_health : std::uint8_t
+{
+    healthy,
+    degraded,    ///< a cause holds: the coalescer bypasses batching
+    /// Dark or starved with in-flight + deferred bytes at
+    /// `flow_params::link_inflight_cap_bytes`: sends and deferred jobs
+    /// fail with link_down.  Suspicion alone never takes a link down: a
+    /// stalled host must not fail live traffic.
+    down,
+};
+
+[[nodiscard]] constexpr char const* to_string(link_health h) noexcept
+{
+    switch (h)
+    {
+    case link_health::healthy:
+        return "healthy";
+    case link_health::degraded:
+        return "degraded";
+    case link_health::down:
+        return "down";
+    }
+    return "?";
+}
+
 /// Per-(peer, direction) protocol state, guarded by the owning
 /// peer_entry's lock.
 struct peer_state
@@ -114,8 +146,7 @@ struct peer_state
     std::map<std::uint64_t, held_frame> held;    // out of order
     bool ack_pending = false;
     std::int64_t ack_deadline_ns = 0;
-    // Per-link circuit breaker.
-    bool breaker_open = false;
+    link_health health = link_health::healthy;
     // Flow control (sender side).
     std::uint64_t unacked_bytes = 0;    ///< wire bytes in `unacked`
     std::uint64_t credit_window = 0;    ///< latest grant from the peer
@@ -126,8 +157,8 @@ struct peer_state
     /// queue.  While they or `deferred` are non-empty, a newer job to this
     /// peer queues behind them: the link keeps per-stream FIFO order.
     std::uint64_t released_bytes = 0;
-    /// When continuous credit starvation on this link began (0 = not
-    /// starving).  Feeds the slow-peer breaker trip.
+    /// When continuous credit starvation on this link began (0 = nothing
+    /// deferred).  Feeds the starvation cause of `health`.
     std::int64_t starved_since_ns = 0;
     pressure_state link_pressure = pressure_state::ok;
     // Membership / failure detection.

@@ -328,7 +328,8 @@ void runtime::register_counters()
             "standalone ack frames emitted"},
         {"/net/count/circuit-breaker-trips", cumulative,
             parcels(&C::circuit_breaker_trips),
-            "times a per-link circuit breaker opened (coalescing bypassed)"},
+            "links degraded by a dark link or credit starvation (coalescing "
+            "bypassed)"},
         {"/net/time/average-ack-latency", ratio, {[](locality& l) {
                 return static_cast<double>(
                            l.parcels().counters().ack_latency_ns.load()) /
@@ -420,15 +421,14 @@ void runtime::register_counters()
             "credit window grants applied from peer advertisements"},
         {"/net/flow/count/link-down", cumulative,
             parcels(&C::link_down_failures),
-            "parcels failed with link_down (breaker open, in-flight cap "
-            "exhausted)"},
+            "parcels failed with link_down (link down: dark or credit-starved "
+            "at its in-flight cap)"},
         {"/net/flow/count/pressure-transitions", cumulative,
             parcels(&C::pressure_transitions),
             "process-level pressure state changes (ok/soft/critical)"},
         {"/net/flow/count/starvation-trips", cumulative,
             parcels(&C::starvation_trips),
-            "circuit breakers opened by the credit-starvation slow-peer "
-            "detector"},
+            "links degraded by credit starvation (the slow-peer detector)"},
         {"/net/flow/pressure", max, {[](locality& l) {
                 return static_cast<double>(l.parcels().current_pressure());
             }},
@@ -470,8 +470,8 @@ void runtime::register_counters()
             "parcels refused by admission control under critical pressure"},
         {"/net/count/delivery-errors/link-down", cumulative,
             parcels(&C::link_down_failures),
-            "parcels failed because the link was down (breaker open, byte cap "
-            "exhausted)"},
+            "parcels failed because the link was down (dark or credit-starved "
+            "at its in-flight byte cap)"},
         {"/net/count/delivery-errors/peer-failed", cumulative,
             parcels(&C::peer_failed_failures),
             "parcels failed because the destination locality died (delivery "

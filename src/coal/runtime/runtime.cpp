@@ -378,12 +378,12 @@ void runtime::quiesce()
                         dbg.deferred_jobs == 0)
                         continue;
                     COAL_LOG_WARN("runtime",
-                        "    -> peer %u %s (epoch %u): unacked %zu held %zu "
-                        "deferred %zu | next_seq %llu cum %llu "
+                        "    -> peer %u %s, link %s (epoch %u): unacked %zu "
+                        "held %zu deferred %zu | next_seq %llu cum %llu "
                         "low_unacked %llu low_held %llu",
                         peer_id, parcel::to_string(dbg.status),
-                        dbg.epoch, dbg.unacked_frames, dbg.held_frames,
-                        dbg.deferred_jobs,
+                        parcel::to_string(dbg.health), dbg.epoch,
+                        dbg.unacked_frames, dbg.held_frames, dbg.deferred_jobs,
                         static_cast<unsigned long long>(dbg.next_seq),
                         static_cast<unsigned long long>(dbg.cum_received),
                         static_cast<unsigned long long>(dbg.lowest_unacked_seq),

@@ -43,7 +43,7 @@ enum class event_kind : std::uint8_t
     pressure_changed,    ///< memory-pressure state transition (a=old, b=new)
     parcel_shed,         ///< admission control shed a parcel (a=action, b=dest)
     send_deferred,       ///< send deferred on an exhausted credit window (a=dest, b=deferred bytes after)
-    link_down,           ///< sends failed on a capped dark link (a=dest, b=parcels failed)
+    link_down,           ///< sends failed on a down link (a=dest, b=parcels failed)
     // Membership / failure detection (DESIGN.md "Failure model"):
     peer_suspected,      ///< suspicion crossed suspect_phi (a=peer, b=phi x1000)
     peer_failed,         ///< peer declared dead, state fenced (a=peer, b=parcels failed)

@@ -1,7 +1,7 @@
 // Credit-based flow control and overload protection: window deferral and
 // release, credit advertisement under pool pressure, admission shedding,
-// the credit-starvation slow-peer detector, and the link_down failure
-// mode on a capped dark link.
+// the credit-starvation cause of link health, and the link_down failure
+// mode of a dark or starved link at its in-flight cap.
 
 #include <coal/parcel/parcelhandler.hpp>
 
@@ -360,40 +360,25 @@ TEST(FlowControl, StarvationTripsTheBreaker)
     EXPECT_EQ(h.ph0.counters().link_down_failures.load(), 0u);
 }
 
-TEST(FlowControl, CappedDarkLinkFailsSendsWithLinkDown)
+// Offers `n` parcels into a blackout until sends fail as link_down, then
+// checks exactly-once accounting: every offered parcel was delivered,
+// failed as link_down, or shed at admission once the saturated link
+// pushed flow_pressure to critical — and each error was surfaced.
+void offer_into_capped_blackout(flow_harness& h, int n)
 {
-    // Tiny in-flight cap + long blackout: once the starvation trip opens
-    // the breaker and in-flight + deferred bytes hit the cap, further
-    // sends fail as link_down instead of queueing forever.
-    flow_params flow = tight_flow();
-    flow.link_inflight_cap_bytes = 1024;
-    fault_plan plan;
-    blackout_window w;
-    w.src = 0;
-    w.dst = 1;
-    w.end_us = 300'000;
-    plan.blackouts.push_back(w);
-    flow_harness h(plan, flow);
-
-    constexpr int n = 200;
     for (int i = 0; i != n; ++i)
     {
         h.ph0.put_parcel(make_request(1, 1));
         if (i % 20 == 19)
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-
     coal::stopwatch deadline;
     while (h.ph0.counters().link_down_failures.load() == 0 &&
         deadline.elapsed_ms() < 2000.0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
     EXPECT_GT(h.ph0.counters().link_down_failures.load(), 0u);
     h.settle();
 
-    // Exactly-once accounting: every offered parcel was either delivered,
-    // failed as link_down, or shed at admission once the saturated link
-    // pushed flow_pressure to critical — and each error was surfaced.
     std::uint64_t const failed = h.link_down_seen.load();
     std::uint64_t const shed = h.shed_seen.load();
     EXPECT_EQ(h.ph0.counters().link_down_failures.load(), failed);
@@ -401,6 +386,64 @@ TEST(FlowControl, CappedDarkLinkFailsSendsWithLinkDown)
     EXPECT_EQ(g_flow_sum.load(), n - static_cast<int>(failed + shed));
     EXPECT_EQ(h.ph1.counters().parcels_executed.load(),
         static_cast<std::uint64_t>(n) - failed - shed);
+    EXPECT_FALSE(h.ph0.link_degraded(1));
+}
+
+fault_plan forward_blackout_300ms()
+{
+    fault_plan plan;
+    blackout_window w;
+    w.src = 0;
+    w.dst = 1;
+    w.end_us = 300'000;
+    plan.blackouts.push_back(w);
+    return plan;
+}
+
+TEST(FlowControl, CappedDarkLinkFailsSendsWithLinkDown)
+{
+    // Tiny in-flight cap + long blackout: once the link is dark or
+    // starved and in-flight + deferred bytes hit the cap, further sends
+    // fail as link_down instead of queueing forever.
+    flow_params flow = tight_flow();
+    flow.link_inflight_cap_bytes = 1024;
+    flow_harness h(forward_blackout_300ms(), flow);
+    offer_into_capped_blackout(h, 200);
+}
+
+// Down needs a dark or starved link at its in-flight cap.  The next two
+// tests put one cause out of reach and check that the other alone takes
+// the capped link down, with exactly that cause counted.
+TEST(FlowControl, CappedDarkLinkGoesDownWithoutStarvation)
+{
+    // Sub-millisecond RTOs pass the dark-link attempt count within ~20 ms;
+    // the starvation trip is a minute away.
+    flow_params flow = tight_flow();
+    flow.link_inflight_cap_bytes = 1024;
+    flow.starvation_trip_us = 60'000'000;
+    flow_harness h(forward_blackout_300ms(), flow);
+
+    offer_into_capped_blackout(h, 200);
+    EXPECT_GE(h.ph0.counters().circuit_breaker_trips.load(), 1u);
+    EXPECT_EQ(h.ph0.counters().starvation_trips.load(), 0u);
+}
+
+TEST(FlowControl, StarvedCappedLinkGoesDownWithoutDarkLink)
+{
+    // 100 ms RTOs need ~900 ms to pass the dark-link attempt count, so
+    // only the 20 ms starvation trip can degrade the link.
+    flow_params flow = tight_flow();
+    flow.link_inflight_cap_bytes = 1024;
+    reliability_params rel = fast_reliability();
+    rel.min_rto_us = 100'000;
+    rel.max_rto_us = 200'000;
+    flow_harness h(forward_blackout_300ms(), flow, rel);
+
+    offer_into_capped_blackout(h, 200);
+    EXPECT_GE(h.ph0.counters().starvation_trips.load(), 1u);
+    // Every degradation was a starvation one.
+    EXPECT_EQ(h.ph0.counters().circuit_breaker_trips.load(),
+        h.ph0.counters().starvation_trips.load());
 }
 
 TEST(FlowControl, DisabledFlowAddsNothing)

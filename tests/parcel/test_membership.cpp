@@ -41,7 +41,9 @@ using coal::net::fault_plan;
 using coal::net::faulty_transport;
 using coal::net::loopback_transport;
 using coal::parcel::delivery_error;
+using coal::parcel::flow_params;
 using coal::parcel::frame_header;
+using coal::parcel::link_health;
 using coal::parcel::membership_params;
 using coal::parcel::parcel;
 using coal::parcel::parcelhandler;
@@ -80,13 +82,13 @@ struct membership_harness
 {
     explicit membership_harness(fault_plan plan,
         membership_params mem = fast_membership(),
-        reliability_params rel = fast_reliability())
+        reliability_params rel = fast_reliability(), flow_params flow = {})
       : inner(2)
       , faulty(inner, plan)
       , sched0(make_cfg())
       , sched1(make_cfg())
-      , ph0(0, faulty, sched0, rel, {}, mem)
-      , ph1(1, faulty, sched1, rel, {}, mem)
+      , ph0(0, faulty, sched0, rel, flow, mem)
+      , ph1(1, faulty, sched1, rel, flow, mem)
     {
         g_mem_sum = 0;
         ph0.set_delivery_error_handler([this](delivery_error err, parcel&&) {
@@ -275,6 +277,69 @@ TEST(Membership, SuspicionHealsWithoutDeathWhenBlackoutIsShort)
     for (int i = 0; i != 10; ++i)
         h.put(h.ph0, 1, 1);
     h.wait_for([&] { return g_mem_sum.load() == 17; }, "post-heal delivery");
+}
+
+TEST(Membership, SuspicionAtTheCapDegradesButNeverGoesDown)
+{
+    // Peer 1 goes silent toward 0 for 300 ms (its acks and heartbeats are
+    // lost) while 0 keeps sending: 0 suspects it and the 0 -> 1 link fills
+    // its 1 KiB in-flight cap.  Suspicion degrades the link but never
+    // takes it down, so nothing fails as link_down.  The other two causes
+    // are out of reach: 100 ms RTOs need ~900 ms to pass the dark-link
+    // attempt count, and the starvation trip is a minute.
+    fault_plan plan;
+    blackout_window w;
+    w.src = 1;
+    w.dst = 0;
+    w.end_us = 300'000;
+    plan.blackouts.push_back(w);
+    membership_params mem = fast_membership();
+    mem.min_dead_us = 5'000'000;
+    reliability_params rel = fast_reliability();
+    rel.min_rto_us = 100'000;
+    rel.max_rto_us = 200'000;
+    flow_params flow;
+    flow.enabled = true;
+    flow.initial_window_bytes = 512;
+    flow.window_bytes = 512;
+    flow.min_window_bytes = 256;
+    flow.link_soft_bytes = 512;
+    flow.link_inflight_cap_bytes = 1024;
+    flow.starvation_trip_us = 60'000'000;
+    flow.pool_soft_bytes = 0;
+    flow.pool_critical_bytes = 0;
+    flow.pool_fallback_cap_bytes = 0;
+    membership_harness h(plan, mem, rel, flow);
+
+    constexpr int n = 50;
+    for (int i = 0; i != n; ++i)
+        h.put(h.ph0, 1, 1);
+    h.wait_for(
+        [&] {
+            auto const d = h.ph0.debug_peer(1);
+            return d.status == peer_status::suspected &&
+                d.unacked_bytes + d.deferred_bytes >= 1024;
+        },
+        "suspected peer at the in-flight cap");
+    // Several heartbeat and deferral services re-derive the link meanwhile.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(h.ph0.link_degraded(1));
+    EXPECT_EQ(h.ph0.debug_peer(1).health, link_health::degraded);
+    EXPECT_EQ(h.ph0.counters().circuit_breaker_trips.load(), 0u);
+    EXPECT_EQ(h.ph0.counters().starvation_trips.load(), 0u);
+
+    // The peer is heard again, its acks open the window, and every parcel
+    // not shed at admission arrives.
+    h.wait_for(
+        [&] {
+            return g_mem_sum.load() + static_cast<int>(h.shed0.load()) ==
+                n && !h.ph0.link_degraded(1);
+        },
+        "recovery after the silence");
+    EXPECT_EQ(h.link_down0.load(), 0u);
+    EXPECT_EQ(h.ph0.counters().link_down_failures.load(), 0u);
+    EXPECT_EQ(h.peer_failed0.load(), 0u);
+    EXPECT_EQ(h.ph0.counters().peers_declared_dead.load(), 0u);
 }
 
 TEST(Membership, PeerDeathFencesAllStateAndFailsParcels)

@@ -1,7 +1,7 @@
 // Reliability layer (ack/retransmit/dedup) driven through a fault-
 // injecting loopback: exactly-once in-order delivery under drops,
 // duplicates and reordering, standalone acks, sack-driven fast and early
-// retransmit, and the per-link circuit breaker.
+// retransmit, and the dark-link cause of link health.
 
 #include <coal/parcel/parcelhandler.hpp>
 
@@ -74,7 +74,9 @@ reliability_params pinned_rto_reliability()
 }
 
 // Drops the first `copies` transmissions of chosen sequenced data frames
-// (seq -> copies) on link 0 -> 1; everything else passes through.
+// (seq -> copies) on link 0 -> 1; everything else passes through.  Between
+// hold() and release() it instead holds every frame, in both directions,
+// and release() hands them on in send order.
 class frame_dropper final : public coal::net::transport
 {
 public:
@@ -95,9 +97,35 @@ public:
         inner_.set_delivery_handler(dst, std::move(handler));
     }
 
+    void hold()
+    {
+        std::lock_guard lock(mutex_);
+        holding_ = true;
+    }
+
+    void release()
+    {
+        std::vector<held> frames;
+        {
+            std::lock_guard lock(mutex_);
+            holding_ = false;
+            frames.swap(held_);
+        }
+        for (auto& f : frames)
+            inner_.send(f.src, f.dst, std::move(f.message));
+    }
+
     void send(std::uint32_t src, std::uint32_t dst,
         coal::serialization::wire_message&& message) override
     {
+        {
+            std::lock_guard lock(mutex_);
+            if (holding_)
+            {
+                held_.push_back({src, dst, std::move(message)});
+                return;
+            }
+        }
         if (!drops_.empty() && src == 0 && dst == 1)
         {
             // Sequenced frames go out flattened: fragment 0 is the frame.
@@ -135,9 +163,18 @@ public:
     }
 
 private:
+    struct held
+    {
+        std::uint32_t src;
+        std::uint32_t dst;
+        coal::serialization::wire_message message;
+    };
+
     transport& inner_;
     std::mutex mutex_;
     std::map<std::uint64_t, unsigned> drops_;
+    bool holding_ = false;
+    std::vector<held> held_;
 };
 
 // Two-locality harness: loopback wrapped in the fault injector (and the
@@ -353,15 +390,15 @@ TEST(Reliability, CircuitBreakerTripsDuringBlackoutAndHeals)
     w.start_us = 0;
     w.end_us = 80'000;    // 80 ms outage on the forward link
     plan.blackouts.push_back(w);
-    auto rel = fast_reliability();
-    rel.breaker_trip_backlog = 32;    // trip on backlog, not attempts
-    lossy_harness h(plan, rel);
+    // Sub-millisecond RTOs: the oldest frame passes the dark-link attempt
+    // count within ~20 ms, well inside the outage.
+    lossy_harness h(plan);
 
-    constexpr int n = 40;    // backlog above breaker_trip_backlog
+    constexpr int n = 40;
     for (int i = 0; i != n; ++i)
         h.ph0.put_parcel(make_request(1, 1));
 
-    // The breaker must open while the link is dark.
+    // The link must degrade while it is dark.
     coal::stopwatch trip_deadline;
     while (!h.ph0.link_degraded(1) && trip_deadline.elapsed_ms() < 5000.0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -369,12 +406,49 @@ TEST(Reliability, CircuitBreakerTripsDuringBlackoutAndHeals)
     EXPECT_GE(h.ph0.counters().circuit_breaker_trips.load(), 1u);
 
     // After the window passes, retransmission delivers everything and
-    // the acks close the breaker again.
+    // the acks retire the dark frames: the link is healthy again.
     h.settle();
     EXPECT_EQ(g_rel_sum.load(), n);
     EXPECT_EQ(h.ph1.counters().parcels_executed.load(), static_cast<unsigned>(n));
     EXPECT_FALSE(h.ph0.link_degraded(1));
     EXPECT_GT(h.ph0.counters().retransmits.load(), 0u);
+}
+
+TEST(Reliability, HealthyBurstIsNotADegradedLink)
+{
+    // A clean link whose acks are merely late: the wire holds every frame
+    // until the whole burst is out, so thousands of single-parcel frames
+    // sit unacked at once (more than the 4096-frame backlog that once
+    // counted as a dark link).  None has been retransmitted, so the link
+    // must stay healthy and coalescing must stay on.  Flow control is off
+    // (no credit window bounds the backlog); the RTO is pinned far above
+    // the hold, so no frame is resent meanwhile.
+    auto rel = fast_reliability();
+    rel.min_rto_us = rel.max_rto_us = 2'000'000;
+    lossy_harness h(fault_plan{}, rel);
+    h.dropper.hold();
+
+    constexpr int n = 5000;
+    for (int i = 0; i != n; ++i)
+        h.ph0.put_parcel(make_request(1, i));
+    coal::stopwatch deadline;
+    while (h.ph0.debug_peer(1).unacked_frames != static_cast<std::size_t>(n) &&
+        deadline.elapsed_ms() < 1000.0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(h.ph0.debug_peer(1).unacked_frames, static_cast<std::size_t>(n));
+
+    EXPECT_FALSE(h.ph0.link_degraded(1));
+    EXPECT_EQ(h.ph0.debug_peer(1).health, coal::parcel::link_health::healthy);
+    EXPECT_EQ(h.ph0.counters().circuit_breaker_trips.load(), 0u);
+    EXPECT_EQ(h.ph0.counters().retransmits.load(), 0u);
+
+    // Released, the burst is delivered exactly once, in order.
+    h.dropper.release();
+    h.settle();
+    expect_executed_in_order(n);
+    EXPECT_EQ(h.ph1.counters().parcels_executed.load(),
+        static_cast<std::uint64_t>(n));
+    EXPECT_EQ(h.ph0.counters().circuit_breaker_trips.load(), 0u);
 }
 
 // Sends parcels 0..n-1 from locality 0 to 1, one frame each, and

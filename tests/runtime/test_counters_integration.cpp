@@ -100,10 +100,11 @@ std::vector<std::pair<std::string, std::string>> const golden_catalogue{
     {"/messages/count/sent", "wire messages transmitted"},
     {"/net/count/acks", "standalone ack frames emitted"},
     {"/net/count/circuit-breaker-trips",
-        "times a per-link circuit breaker opened (coalescing bypassed)"},
+        "links degraded by a dark link or credit starvation (coalescing "
+        "bypassed)"},
     {"/net/count/delivery-errors/link-down",
-        "parcels failed because the link was down (breaker open, byte cap "
-        "exhausted)"},
+        "parcels failed because the link was down (dark or credit-starved at "
+        "its in-flight byte cap)"},
     {"/net/count/delivery-errors/peer-failed",
         "parcels failed because the destination locality died (delivery not "
         "confirmed)"},
@@ -129,8 +130,8 @@ std::vector<std::pair<std::string, std::string>> const golden_catalogue{
     {"/net/flow/count/deferrals",
         "send jobs deferred on an exhausted credit window"},
     {"/net/flow/count/link-down",
-        "parcels failed with link_down (breaker open, in-flight cap "
-        "exhausted)"},
+        "parcels failed with link_down (link down: dark or credit-starved at "
+        "its in-flight cap)"},
     {"/net/flow/count/pressure-transitions",
         "process-level pressure state changes (ok/soft/critical)"},
     {"/net/flow/count/releases",
@@ -139,7 +140,7 @@ std::vector<std::pair<std::string, std::string>> const golden_catalogue{
         "best-effort parcels shed by admission control under critical "
         "pressure"},
     {"/net/flow/count/starvation-trips",
-        "circuit breakers opened by the credit-starvation slow-peer detector"},
+        "links degraded by credit starvation (the slow-peer detector)"},
     {"/net/flow/pressure",
         "current pressure state toward the worst peer (gauge: 0=ok, 1=soft, "
         "2=critical)"},

@@ -1,8 +1,8 @@
 // Full-stack acceptance tests for the lossy-network mode: a seeded fault
 // plan on the simulated interconnect with the reliability layer forced
 // on must deliver every parcel exactly once and in per-link order, and
-// the per-link circuit breaker must degrade coalescing gracefully during
-// a blackout and recover after it heals.
+// a dark link must degrade coalescing gracefully during a blackout and
+// recover after it heals.
 
 #include <coal/runtime/runtime.hpp>
 
@@ -72,12 +72,9 @@ TEST(LossyRuntime, SeededFaultsDeliverExactlyOnceInOrder)
     cfg.faults.duplicate_probability = 0.005;
     cfg.faults.reorder_probability = 0.005;
     // Bulk transfer tuning: a burst send means acks lag the send window,
-    // so give the RTO headroom and keep the breaker out of this test
-    // (the breaker has its own test below).
+    // so give the RTO headroom.
     cfg.reliability.ack_delay_us = 100;
     cfg.reliability.min_rto_us = 20000;
-    cfg.reliability.breaker_trip_backlog = 1u << 20;
-    cfg.reliability.breaker_trip_attempts = 1000;
 
     runtime rt(cfg);
     ASSERT_TRUE(rt.config().reliability.enabled)
@@ -190,8 +187,10 @@ TEST(LossyRuntime, CircuitBreakerDegradesAndRecovers)
     w.start_us = 0;
     w.end_us = 150'000;
     cfg.faults.blackouts.push_back(w);
-    // Trip fast and recover fast so the test stays short.
-    cfg.reliability.breaker_trip_backlog = 8;
+    // Trip fast and recover fast so the test stays short: from a 2 ms
+    // RTO the oldest frame passes the dark-link attempt count within
+    // ~80 ms, well inside the 150 ms blackout.
+    cfg.reliability.min_rto_us = 2000;
     cfg.reliability.max_rto_us = 50000;
 
     runtime rt(cfg);
@@ -201,7 +200,7 @@ TEST(LossyRuntime, CircuitBreakerDegradesAndRecovers)
     ASSERT_NE(handler, nullptr);
     auto& ph0 = rt.get_locality(0).parcels();
 
-    // Feed traffic into the blackout until the breaker reacts.
+    // Feed traffic into the blackout until the link degrades.
     rt.run_on(0, [](locality& here) {
         auto const other = here.find_remote_localities().front();
         for (int i = 0; i != 2000; ++i)
@@ -211,7 +210,7 @@ TEST(LossyRuntime, CircuitBreakerDegradesAndRecovers)
     while (!ph0.link_degraded(1) && trip_deadline.elapsed_ms() < 5000.0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
-    // Degradation must be visible: breaker open, coalescing bypassed.
+    // Degradation must be visible: dark link, coalescing bypassed.
     EXPECT_TRUE(ph0.link_degraded(1));
     EXPECT_GE(ph0.counters().circuit_breaker_trips.load(), 1u);
     EXPECT_GT(rt.counters().query("/net/count/circuit-breaker-trips").value,
@@ -223,8 +222,9 @@ TEST(LossyRuntime, CircuitBreakerDegradesAndRecovers)
     });
     EXPECT_GT(handler->breaker_bypasses(), 0u);
 
-    // Heal: once retransmissions get through, acks drain the backlog and
-    // close the breaker; quiesce then proves nothing was lost.
+    // Heal: once retransmissions get through, acks retire the dark
+    // frames and the link is healthy; quiesce then proves nothing was
+    // lost.
     coal::stopwatch heal_deadline;
     while (ph0.link_degraded(1) && heal_deadline.elapsed_ms() < 20000.0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
