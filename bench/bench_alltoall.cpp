@@ -2,43 +2,31 @@
 /// The all-to-all benchmark the paper's related work tunes on (PICS/TRAM,
 /// §I and §V): every locality bursts many small chunks to every other
 /// locality each round, with a round barrier.  Swept over nparcels, plus
-/// an adaptive-controller run starting from the pathological setting —
-/// the scenario in which Charm++'s PICS "converged to a decision on
-/// coalescing buffer size in 5 decisions".
+/// an A/B of the per-round burst order.
 ///
 ///     ./bench_alltoall [localities=4] [chunks=256] [doubles=16] [rounds=4]
 
-#include <coal/adaptive/adaptive_coalescer.hpp>
 #include <coal/collectives/collectives.hpp>
 
 #include "bench_common.hpp"
 
 #include <atomic>
-#include <memory>
 
 namespace {
 
 // One measured configuration: mean round time in seconds over `rounds`
 // (after one warm-up round).
 double measure(std::size_t nparcels, std::size_t chunks, std::size_t doubles,
-    unsigned rounds, std::uint32_t localities, bool staggered = true,
-    coal::adaptive::adaptive_coalescer* tuner = nullptr,
-    coal::runtime* reuse_rt = nullptr)
+    unsigned rounds, std::uint32_t localities, bool staggered = true)
 {
-    std::unique_ptr<coal::runtime> owned;
-    coal::runtime* rt = reuse_rt;
-    if (rt == nullptr)
-    {
-        coal::runtime_config cfg;
-        cfg.num_localities = localities;
-        cfg.apply_coalescing_defaults = false;
-        owned = std::make_unique<coal::runtime>(cfg);
-        rt = owned.get();
-        rt->enable_coalescing(
-            coal::collectives::deposit_action_name(), {nparcels, 4000});
-    }
+    coal::runtime_config cfg;
+    cfg.num_localities = localities;
+    cfg.apply_coalescing_defaults = false;
+    coal::runtime rt(cfg);
+    rt.enable_coalescing(
+        coal::collectives::deposit_action_name(), {nparcels, 4000});
 
-    std::uint32_t const n = rt->num_localities();
+    std::uint32_t const n = rt.num_localities();
     coal::running_stats round_times;
     // Tag space: each round consumes `chunks` tags per (src,dst) pair.
     static std::atomic<std::uint64_t> tag_base{1u << 20};
@@ -48,21 +36,18 @@ double measure(std::size_t nparcels, std::size_t chunks, std::size_t doubles,
         std::uint64_t const tag =
             tag_base.fetch_add(chunks + 1, std::memory_order_relaxed);
         coal::stopwatch sw;
-        rt->run_everywhere([&](coal::locality& here) {
+        rt.run_everywhere([&](coal::locality& here) {
             std::vector<std::vector<std::vector<double>>> payload(n);
             for (auto& per_dest : payload)
                 per_dest.assign(chunks, std::vector<double>(doubles, 1.0));
             (void) coal::collectives::all_to_all_chunked(
-                *rt, here, payload, tag, staggered);
+                rt, here, payload, tag, staggered);
         });
         if (round != 0)    // round 0 is the warm-up
             round_times.add(sw.elapsed_s());
-        if (tuner != nullptr)
-            tuner->tick();
     }
 
-    if (owned)
-        owned->stop();
+    rt.stop();
     return round_times.mean();
 }
 
@@ -114,30 +99,5 @@ int main(int argc, char** argv)
                     "\"localities\":%u,\"round_ms\":%.3f}\n",
             localities, stag * 1e3);
     }
-
-    // Adaptive run on a persistent runtime, one decision per round.
-    coal::runtime_config cfg;
-    cfg.num_localities = localities;
-    cfg.apply_coalescing_defaults = false;
-    coal::runtime rt(cfg);
-    rt.enable_coalescing(
-        coal::collectives::deposit_action_name(), {1, 4000});
-
-    coal::adaptive::tuner_config tuner_cfg;
-    tuner_cfg.action_name = coal::collectives::deposit_action_name();
-    tuner_cfg.max_nparcels = 128;
-    tuner_cfg.min_parcels_per_sample = 64;
-    coal::adaptive::adaptive_coalescer tuner(rt, tuner_cfg);
-
-    double const adaptive = measure(
-        0, chunks, doubles, 3 * rounds, localities, true, &tuner, &rt);
-    std::printf("\nadaptive (from nparcels=1): mean round %.2f ms, %llu "
-                "decisions, final nparcels=%zu\n",
-        adaptive * 1e3,
-        static_cast<unsigned long long>(tuner.decisions()),
-        tuner.current_nparcels());
-    std::printf("(PICS reference: converged in 5 decisions on this "
-                "workload class)\n");
-    rt.stop();
     return 0;
 }

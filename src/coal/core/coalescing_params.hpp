@@ -12,8 +12,8 @@
 ///  - `max_buffer_bytes`: upper bound on queued payload to avoid memory
 ///    overflow on large-argument actions.
 ///
-/// A `shared_params` holder allows the adaptive controller (and Fig. 9's
-/// mid-run schedule changes) to mutate parameters while traffic flows;
+/// A `shared_params` holder lets `runtime::set_coalescing_params` (Fig. 9's
+/// mid-run schedule changes) mutate parameters while traffic flows;
 /// readers take a consistent snapshot.
 
 #include <coal/common/cacheline.hpp>
@@ -54,13 +54,13 @@ struct coalescing_params
         coalescing_params const&, coalescing_params const&) = default;
 };
 
-/// Mutable parameter cell shared between a request handler, its response
-/// handler, and the adaptive controller.
+/// Mutable parameter cell shared between a request handler and its
+/// response handler, changed live by `runtime::set_coalescing_params`.
 ///
 /// `get()` sits on every enqueue, so it is a seqlock over atomic fields:
 /// readers take a consistent snapshot with two version loads and four
 /// relaxed field loads — no shared write, no lock — and retry in the
-/// (rare) window where the controller is mid-`set()`.  Writers serialize
+/// (rare) window where a writer is mid-`set()`.  Writers serialize
 /// on a spinlock and bump the version to odd around the field stores.
 /// All field accesses are on std::atomic objects, so the retry loop is
 /// data-race-free (ThreadSanitizer-clean), unlike a classic memcpy

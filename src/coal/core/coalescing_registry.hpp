@@ -8,7 +8,7 @@
 /// both share one parameter cell, so tuning `nparcels` tunes the whole
 /// round trip (see DESIGN.md §2 on why responses must coalesce for the
 /// toy app's gains to match the paper's shape).  Parameters can be
-/// changed live (Fig. 9 and the adaptive controller rely on this).
+/// changed live (Fig. 9's per-phase schedule relies on this).
 
 #include <coal/core/coalescing_message_handler.hpp>
 #include <coal/core/coalescing_params.hpp>

@@ -530,27 +530,18 @@ bool parcelhandler::progress_send()
             {
                 gen = peer.stream_gen;
                 hdr.seq = peer.next_seq++;
-                hdr.ack = peer.cum_received;
-                hdr.sack = sack_bits_locked(peer);
-                if (flow_.enabled)
-                    hdr.credit = advertised_credit_wire();
+                piggyback_locked(peer, hdr, now);
                 stamp_epochs_locked(peer, hdr);
-                if (peer.ack_pending)
-                {
-                    peer.ack_pending = false;    // this frame carries the ack
-                    acks_pending_.fetch_sub(1, std::memory_order_release);
-                }
-                peer.last_sent_ns = now;
             }
         }
         if (dead)
         {
-            fail_job(delivery_error::peer_failed, std::move(*job));
+            fail_parcels(delivery_error::peer_failed, std::move(job->parcels));
             return true;
         }
         if (down)
         {
-            fail_job(delivery_error::link_down, std::move(*job));
+            fail_parcels(delivery_error::link_down, std::move(job->parcels));
             return true;
         }
         if (deferred)
@@ -616,7 +607,7 @@ bool parcelhandler::progress_send()
         requeue_released(more);
         if (dead)
         {
-            fail_job(delivery_error::peer_failed, std::move(*job));
+            fail_parcels(delivery_error::peer_failed, std::move(job->parcels));
             return true;
         }
         // Arm the retransmission timer (CAS-min: a no-op if an earlier
@@ -1080,14 +1071,8 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
         {
             if (now >= peer.ack_deadline_ns)
             {
-                peer.ack_pending = false;
-                acks_pending_.fetch_sub(1, std::memory_order_release);
-                ack_hdr.ack = peer.cum_received;
-                ack_hdr.sack = sack_bits_locked(peer);
-                if (flow_.enabled)
-                    ack_hdr.credit = advertised_credit_wire();
+                piggyback_locked(peer, ack_hdr, now);
                 stamp_epochs_locked(peer, ack_hdr);
-                peer.last_sent_ns = now;
                 send_ack = true;
             }
             else
@@ -1171,17 +1156,10 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
             // image has stale ones.  Patch + snapshot both happen under
             // the peer's lock, so no transport thread ever reads a
             // half-patched prefix; the retained frame itself is reused,
-            // not deep-copied.
-            patch_frame_acks(u.frame, peer.cum_received,
-                sack_bits_locked(peer),
-                flow_.enabled ? advertised_credit_wire() : 0);
-            if (peer.ack_pending)
-            {
-                peer.ack_pending = false;    // the retransmit carries the ack
-                acks_pending_.fetch_sub(1, std::memory_order_release);
-                send_ack = false;
-            }
-            peer.last_sent_ns = now;
+            // not deep-copied.  Its epochs stay as encoded (parcel.hpp).
+            frame_header fresh;
+            piggyback_locked(peer, fresh, now);
+            patch_frame_acks(u.frame, fresh.ack, fresh.sack, fresh.credit);
             resends.push_back(u.frame.flatten_copy());
             counters_.retransmits.fetch_add(1, std::memory_order_relaxed);
         }
@@ -1281,19 +1259,8 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
                     if (now - peer.last_sent_ns >=
                         membership_.heartbeat_interval_us * 1000)
                     {
-                        peer.last_sent_ns = now;
-                        beat_hdr.ack = peer.cum_received;
-                        beat_hdr.sack = sack_bits_locked(peer);
-                        if (flow_.enabled)
-                            beat_hdr.credit = advertised_credit_wire();
+                        piggyback_locked(peer, beat_hdr, now);
                         stamp_epochs_locked(peer, beat_hdr);
-                        if (peer.ack_pending)
-                        {
-                            peer.ack_pending = false;    // beat carries it
-                            acks_pending_.fetch_sub(
-                                1, std::memory_order_release);
-                            send_ack = false;
-                        }
                         beat = true;
                     }
                     // The heartbeat cadence doubles as the phi-check
@@ -1321,7 +1288,7 @@ std::int64_t parcelhandler::service_peer(peer_entry& e)
     requeue_released(released);
     for (auto& job : failed_deferred)
     {
-        fail_job(delivery_error::link_down, std::move(job));
+        fail_parcels(delivery_error::link_down, std::move(job.parcels));
         deferred_sends_.fetch_sub(1, std::memory_order_release);
     }
     if (probe || beat)
@@ -1519,15 +1486,26 @@ void parcelhandler::update_link_locked(
     step_gauge(degraded_links_, was != link_health::healthy,
         peer.health != link_health::healthy);
     // Suspicion counts and logs itself (service_peer).
-    if (was == link_health::healthy && (dark || starved))
+    bool const tripped = was == link_health::healthy && (dark || starved);
+    if (tripped)
     {
         counters_.circuit_breaker_trips.fetch_add(
             1, std::memory_order_relaxed);
         if (starved)
             counters_.starvation_trips.fetch_add(1, std::memory_order_relaxed);
+    }
+    char const* const cause = dark ? "dark link" : "credit-starved";
+    if (was != link_health::down && peer.health == link_health::down)
+    {
+        COAL_LOG_WARN("parcel",
+            "link %u->%u down (%s at its in-flight cap): sends fail", here_,
+            dst, cause);
+    }
+    else if (tripped)
+    {
         COAL_LOG_WARN("parcel",
             "link %u->%u degraded (%s): coalescing bypassed", here_, dst,
-            dark ? "dark link" : "credit-starved");
+            cause);
     }
     else if (was != link_health::healthy && peer.health == link_health::healthy)
     {
@@ -1536,16 +1514,18 @@ void parcelhandler::update_link_locked(
     }
 }
 
-void parcelhandler::fail_job(delivery_error err, send_job&& job)
+void parcelhandler::piggyback_locked(
+    peer_state& peer, frame_header& hdr, std::int64_t now)
 {
-    if (err == delivery_error::link_down)
+    hdr.ack = peer.cum_received;
+    hdr.sack = sack_bits_locked(peer);
+    hdr.credit = flow_.enabled ? advertised_credit_wire() : 0;
+    if (peer.ack_pending)
     {
-        COAL_LOG_WARN("parcel",
-            "link %u->%u down: %zu parcels failed (dark or credit-starved "
-            "at its in-flight cap)",
-            here_, job.dst, job.parcels.size());
+        peer.ack_pending = false;    // this frame carries the ack
+        acks_pending_.fetch_sub(1, std::memory_order_release);
     }
-    fail_parcels(err, std::move(job.parcels));
+    peer.last_sent_ns = now;
 }
 
 void parcelhandler::fail_parcels(

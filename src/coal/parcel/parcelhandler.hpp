@@ -518,6 +518,11 @@ private:
     void schedule_ack_locked(
         peer_entry& e, peer_state& peer, std::int64_t now);
     [[nodiscard]] std::uint64_t sack_bits_locked(peer_state const& peer) const;
+    /// Fill the ack, sack and credit grant a frame to `peer` piggybacks,
+    /// clear its pending delayed ack (this frame carries it) and restart
+    /// its heartbeat clock.  Epochs are stamped by the caller: a
+    /// retransmit keeps the ones it was encoded with (parcel.hpp).
+    void piggyback_locked(peer_state& peer, frame_header& hdr, std::int64_t now);
     [[nodiscard]] std::int64_t initial_rto_ns_locked(
         peer_state const& peer) const;
     void complete_promise(
@@ -559,13 +564,11 @@ private:
     /// or the peer's suspicion: recomputes link_pressure (flow control)
     /// and `health` from its causes (see link_health), keeps the
     /// lock-free gauges (pressured_links_, links_critical_,
-    /// degraded_links_) in step, and counts and logs each healthy ->
-    /// degraded transition by cause.
+    /// degraded_links_) in step, counts each healthy -> degraded
+    /// transition by cause, and logs it and each entry into down once
+    /// (the parcels a down link fails are counted, not logged).
     void update_link_locked(
         std::uint32_t dst, peer_state& peer, std::int64_t now);
-    /// Fail a job's parcels through the delivery-error handler (called
-    /// without peers_lock_ held).
-    void fail_job(delivery_error err, send_job&& job);
     /// Emit trace/counter updates when the process-level pressure state
     /// changed since the last check.  Called from progress().
     void note_pressure_transition();

@@ -5,9 +5,8 @@
 ///
 /// Subsystems register counter *types* (a path template plus a factory);
 /// users query *full names*.  Instances are created lazily on first query
-/// and cached, so repeated sampling of the same counter is cheap — that
-/// matters for the adaptive controller, which polls
-/// `/threads/background-overhead` continuously.
+/// and cached, so repeated sampling of the same counter (say
+/// `/threads/background-overhead` once per phase) is cheap.
 
 #include <coal/perf/counter.hpp>
 #include <coal/perf/counter_path.hpp>

@@ -5,6 +5,7 @@
 
 #include <coal/parcel/parcelhandler.hpp>
 
+#include <coal/common/logging.hpp>
 #include <coal/common/stopwatch.hpp>
 #include <coal/net/faulty_transport.hpp>
 #include <coal/net/loopback.hpp>
@@ -17,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -444,6 +446,37 @@ TEST(FlowControl, StarvedCappedLinkGoesDownWithoutDarkLink)
     // Every degradation was a starvation one.
     EXPECT_EQ(h.ph0.counters().circuit_breaker_trips.load(),
         h.ph0.counters().starvation_trips.load());
+}
+
+TEST(FlowControl, DownLinkLogsItsTransitionsNotEachFailedSend)
+{
+    // A down link fails every send offered to it.  It logs entering
+    // down, not each failure: the link-down counter counts those.
+    coal::set_log_level(coal::log_level::warn);
+    flow_params flow = tight_flow();
+    flow.link_inflight_cap_bytes = 1024;
+    std::string log;
+    std::uint64_t failed = 0;
+    {
+        flow_harness h(forward_blackout_300ms(), flow);
+        testing::internal::CaptureStderr();
+        offer_into_capped_blackout(h, 200);
+        failed = h.link_down_seen.load();
+        log = testing::internal::GetCapturedStderr();
+    }
+
+    std::size_t down_lines = 0;
+    for (auto at = log.find("link 0->1 down"); at != std::string::npos;
+         at = log.find("link 0->1 down", at + 1))
+        ++down_lines;
+    // The link flaps between degraded and down as failed deferred jobs
+    // drop it below the cap: 4-6 entries per run against 70-114 failed
+    // parcels (90 runs, four at a time).  One line per failed send job
+    // reads about one per parcel here.
+    EXPECT_GE(down_lines, 1u);
+    EXPECT_LE(down_lines, 12u);
+    EXPECT_LT(down_lines * 4, failed)
+        << down_lines << " down lines for " << failed << " failed parcels";
 }
 
 TEST(FlowControl, DisabledFlowAddsNothing)

@@ -256,7 +256,7 @@ TEST(Membership, SuspicionHealsWithoutDeathWhenBlackoutIsShort)
         "suspicion during blackout");
     EXPECT_GE(h.ph0.counters().peers_suspected.load(), 1u);
     EXPECT_EQ(h.ph0.health().suspected_peers, 1u);
-    // A suspected link degrades exactly like an open breaker: the
+    // A suspected link is degraded like a dark or starved one: the
     // coalescing layer bypasses batching for it.
     EXPECT_TRUE(h.ph0.link_degraded(1));
 

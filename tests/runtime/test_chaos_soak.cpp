@@ -338,8 +338,8 @@ TEST(ChaosSoak, KillsAndRejoinsPreserveAccounting)
     EXPECT_EQ(buffer_pool::global().stats().resident_bytes, pool_baseline);
 }
 
-// Satellite of the failure model: a blackout long enough to trip the
-// breaker and the suspicion score, but shorter than the death floor,
+// Satellite of the failure model: a blackout long enough to degrade the
+// link and trip the suspicion score, but shorter than the death floor,
 // must heal completely — no peer_failed verdict, and coalesced batching
 // (not the degraded-link bypass) carrying traffic again afterwards.
 TEST(ChaosSoak, ShortBlackoutHealsAndRestoresBatching)

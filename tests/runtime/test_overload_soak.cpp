@@ -164,7 +164,7 @@ TEST(OverloadSoak, BoundedMemoryNoDeadlockExactlyOnce)
         t.join();
 
     // No deadlock: everything still owed must drain once the blackout
-    // ends and the breaker heals.  Generous deadline for tsan.
+    // ends and the link heals.  Generous deadline for tsan.
     auto const quiet = [&] {
         return ph0.pending_sends() == 0 && ph1.pending_sends() == 0 &&
             ph0.pending_receives() == 0 && ph1.pending_receives() == 0 &&
