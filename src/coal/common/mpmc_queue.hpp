@@ -1,16 +1,16 @@
 #pragma once
 
 /// \file mpmc_queue.hpp
-/// Blocking multi-producer/multi-consumer queue used for locality inboxes
-/// and the network delivery channel.
+/// Non-blocking multi-producer/multi-consumer queue: the parcelhandler's
+/// outbound send jobs and its inbox of received frames.
 ///
-/// A mutex+condvar design is deliberate: the queues sit on the *message*
+/// A mutex over a deque is deliberate: the queues sit on the *message*
 /// path (already paying modeled per-message costs in the microsecond
 /// range), not the per-task fast path, and correctness under shutdown is
-/// the priority.  The queue supports cooperative close() so background
-/// pollers and blocking consumers terminate cleanly.
+/// the priority.  Consumers poll with try_pop() from the progress path;
+/// nobody blocks on the queue, so a push wakes no one.  close() makes
+/// later pushes fail, so shutdown drops them instead of queueing.
 
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -26,13 +26,10 @@ public:
     /// (element is dropped — callers treat that as shutdown).
     bool push(T&& value)
     {
-        {
-            std::lock_guard lock(mutex_);
-            if (closed_)
-                return false;
-            items_.push_back(std::move(value));
-        }
-        cv_.notify_one();
+        std::lock_guard lock(mutex_);
+        if (closed_)
+            return false;
+        items_.push_back(std::move(value));
         return true;
     }
 
@@ -47,26 +44,12 @@ public:
         return out;
     }
 
-    /// Blocking pop; empty optional only after close() with a drained queue.
-    std::optional<T> pop()
-    {
-        std::unique_lock lock(mutex_);
-        cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
-        if (items_.empty())
-            return std::nullopt;
-        std::optional<T> out(std::move(items_.front()));
-        items_.pop_front();
-        return out;
-    }
-
-    /// Close the queue: producers start failing, consumers drain then stop.
+    /// Close the queue: producers start failing; what is queued can
+    /// still be drained.
     void close()
     {
-        {
-            std::lock_guard lock(mutex_);
-            closed_ = true;
-        }
-        cv_.notify_all();
+        std::lock_guard lock(mutex_);
+        closed_ = true;
     }
 
     [[nodiscard]] bool closed() const
@@ -88,7 +71,6 @@ public:
 
 private:
     mutable std::mutex mutex_;
-    std::condition_variable cv_;
     std::deque<T> items_;
     bool closed_ = false;
 };

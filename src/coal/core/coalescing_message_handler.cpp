@@ -6,7 +6,6 @@
 #include <coal/trace/tracer.hpp>
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 namespace coal::coalescing {
@@ -34,42 +33,28 @@ coalescing_message_handler::~coalescing_message_handler()
     flush();
 }
 
-coalescing_message_handler::destination_queue&
-coalescing_message_handler::queue_for_locked(
-    queue_shard& shard, std::uint32_t dst)
+void coalescing_message_handler::send_locked(
+    queue_shard& shard, std::uint32_t dst, destination_queue& queue)
 {
-    auto& queue = shard.queues[dst];
-    if (queue.stream == 0)
-        queue.stream = parcels_.allocate_send_stream();
-    return queue;
-}
-
-coalescing_message_handler::detached_batch
-coalescing_message_handler::detach_batch_locked(destination_queue& queue)
-{
+    // The push happens under the shard lock, so batches of one
+    // destination enter the outbound queue in shard-lock order whichever
+    // path sends them.  The gauge drops after the push: by then the batch
+    // is counted in pending_sends().  The caller wakes a worker
+    // (wake_sender) after it drops the lock.
+    std::size_t const queued = queue.parcels.size();
     queue.deadline_ns = no_deadline;
     queue.queued_bytes = 0;
-    detached_batch batch;
-    batch.parcels = std::exchange(queue.parcels, {});
-    batch.ticket = {queue.stream, queue.next_ticket++};
-    return batch;
+    counters_->record_message(queued);
+    parcels_.push_message(dst, std::exchange(queue.parcels, {}));
+    shard.gauge.fetch_sub(queued, std::memory_order_release);
 }
 
-void coalescing_message_handler::send_batch(
-    std::uint32_t dst, detached_batch&& batch)
+void coalescing_message_handler::send_past_locked(queue_shard& shard,
+    std::uint32_t dst, destination_queue& queue, parcel::parcel&& p)
 {
-    // Runs WITHOUT the shard lock.  Per-destination FIFO is preserved by
-    // the ticket: sequence numbers were allocated in shard-lock order and
-    // the parcelhandler's sequencer releases batches in ticket order, so
-    // dropping the lock before this hand-off cannot reorder the wire.
-    std::size_t const queued = batch.parcels.size();
-    counters_->record_message(queued);
-    parcels_.send_message(dst, std::move(batch.parcels), batch.ticket);
-    // Only now drop the parcels from the shard's queued gauge:
-    // send_message has made them visible in pending_sends(), so a
-    // quiescence poll always sees them in at least one count.
-    if (batch.gauge != 0)
-        shard_for(dst).gauge.fetch_sub(batch.gauge, std::memory_order_release);
+    queue.parcels.push_back(std::move(p));
+    shard.gauge.fetch_add(1, std::memory_order_relaxed);
+    send_locked(shard, dst, queue);
 }
 
 void coalescing_message_handler::enqueue(parcel::parcel&& p)
@@ -77,42 +62,28 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
     coalescing_params params = params_->get();
     std::int64_t const gap_ns = counters_->record_parcel();
     std::uint32_t const dst = p.dest;
+    auto& shard = shard_for(dst);
 
-    // Disabled: pass through, one parcel per message.  The parcel still
-    // takes a ticket from the destination's stream so it cannot overtake
-    // (or be overtaken by) batches detached moments earlier.
-    if (!params.coalescing_enabled())
+    // Disabled: pass through, one parcel per message.  Degraded link
+    // (dark, credit-starved or suspected peer): batching only stacks
+    // coalescing delay on top of retransmission timeouts, so send at once
+    // too (effectively nparcels = 1 until the link heals).  Either way,
+    // whatever an earlier setting left queued for the destination goes
+    // first.
+    bool const disabled = !params.coalescing_enabled();
+    if (disabled || parcels_.link_degraded(dst))
     {
-        detached_batch single;
+        if (!disabled)
         {
-            std::lock_guard lock(shard_for(dst).lock);
-            auto& queue = queue_for_locked(shard_for(dst), dst);
-            single.ticket = {queue.stream, queue.next_ticket++};
+            breaker_bypasses_.fetch_add(1, std::memory_order_relaxed);
+            trace::tracer::global().record(parcels_.here(),
+                trace::event_kind::coalescing_bypass, p.action);
         }
-        single.parcels.push_back(std::move(p));
-        send_batch(dst, std::move(single));
-        return;
-    }
-
-    // Degraded link (dark, credit-starved or suspected peer): batching
-    // only stacks coalescing delay on top of retransmission timeouts.
-    // Flush whatever is queued for the
-    // destination and send this parcel along immediately (effectively
-    // nparcels = 1 until the link heals).
-    if (parcels_.link_degraded(dst))
-    {
-        breaker_bypasses_.fetch_add(1, std::memory_order_relaxed);
-        trace::tracer::global().record(parcels_.here(),
-            trace::event_kind::coalescing_bypass, p.action);
-        detached_batch batch;
         {
-            auto& shard = shard_for(dst);
             std::lock_guard lock(shard.lock);
-            batch = detach_batch_locked(queue_for_locked(shard, dst));
-            batch.gauge = batch.parcels.size();
+            send_past_locked(shard, dst, shard.queues[dst], std::move(p));
         }
-        batch.parcels.push_back(std::move(p));
-        send_batch(dst, std::move(batch));
+        parcels_.wake_sender();
         return;
     }
 
@@ -129,71 +100,59 @@ void coalescing_message_handler::enqueue(parcel::parcel&& p)
             std::max<std::size_t>(1024, params.max_buffer_bytes / 4);
     }
 
-    auto& shard = shard_for(dst);
-    std::optional<detached_batch> flush_now;
+    bool sent = false;
     std::int64_t armed = no_deadline;
     {
-        std::unique_lock lock(shard.lock);
-        auto& queue = queue_for_locked(shard, dst);
-
-        if (stopped_.load(std::memory_order_acquire))
-        {
-            // Tear-down path: do not queue, send directly.
-            detached_batch single;
-            single.ticket = {queue.stream, queue.next_ticket++};
-            lock.unlock();
-            single.parcels.push_back(std::move(p));
-            send_batch(dst, std::move(single));
-            return;
-        }
+        std::lock_guard lock(shard.lock);
+        auto& queue = shard.queues[dst];
 
         // Sparse-traffic bypass: if parcels arrive further apart than the
         // wait time and nothing is queued, coalescing would only add
         // latency — send directly (this is what "effectively disables"
         // coalescing for sparse phases, §II-B).
         bool const sparse = params.sparse_bypass && gap_ns >= 0 &&
-            gap_ns > params.interval_us * 1000;
-        if (sparse && queue.parcels.empty())
+            gap_ns > params.interval_us * 1000 && queue.parcels.empty();
+        if (stopped_.load(std::memory_order_acquire) || sparse)
         {
-            detached_batch single;
-            single.ticket = {queue.stream, queue.next_ticket++};
-            lock.unlock();
-            trace::tracer::global().record(parcels_.here(),
-                trace::event_kind::coalescing_bypass, p.action);
-            single.parcels.push_back(std::move(p));
-            send_batch(dst, std::move(single));
-            return;
+            // A stopped (tearing-down) handler queues nothing either.
+            if (sparse)
+                trace::tracer::global().record(parcels_.here(),
+                    trace::event_kind::coalescing_bypass, p.action);
+            send_past_locked(shard, dst, queue, std::move(p));
+            sent = true;
         }
-
-        std::uint64_t const action = p.action;
-        queue.queued_bytes += p.wire_size();
-        queue.parcels.push_back(std::move(p));
-        shard.gauge.fetch_add(1, std::memory_order_relaxed);
-        trace::tracer::global().record(parcels_.here(),
-            trace::event_kind::coalescing_queued, action,
-            queue.parcels.size());
-
-        if (queue.parcels.size() >= params.nparcels ||
-            queue.queued_bytes >= params.max_buffer_bytes)
+        else
         {
-            // Queue full: detach (dropping its deadline); the hand-off to
-            // the parcelhandler happens after the lock is dropped.
-            size_flushes_.fetch_add(1, std::memory_order_relaxed);
+            std::uint64_t const action = p.action;
+            queue.queued_bytes += p.wire_size();
+            queue.parcels.push_back(std::move(p));
+            shard.gauge.fetch_add(1, std::memory_order_relaxed);
             trace::tracer::global().record(parcels_.here(),
-                trace::event_kind::flush_size, action, queue.parcels.size());
-            flush_now = detach_batch_locked(queue);
-            flush_now->gauge = flush_now->parcels.size();
-        }
-        else if (queue.parcels.size() == 1)
-        {
-            // First parcel: arm the queue's flush deadline.
-            queue.deadline_ns = now_ns() + params.interval_us * 1000;
-            armed = queue.deadline_ns;
+                trace::event_kind::coalescing_queued, action,
+                queue.parcels.size());
+
+            if (queue.parcels.size() >= params.nparcels ||
+                queue.queued_bytes >= params.max_buffer_bytes)
+            {
+                // Queue full: send it (its deadline goes with it).
+                size_flushes_.fetch_add(1, std::memory_order_relaxed);
+                trace::tracer::global().record(parcels_.here(),
+                    trace::event_kind::flush_size, action,
+                    queue.parcels.size());
+                send_locked(shard, dst, queue);
+                sent = true;
+            }
+            else if (queue.parcels.size() == 1)
+            {
+                // First parcel: arm the queue's flush deadline.
+                queue.deadline_ns = now_ns() + params.interval_us * 1000;
+                armed = queue.deadline_ns;
+            }
         }
     }
 
-    if (flush_now)
-        send_batch(dst, std::move(*flush_now));
+    if (sent)
+        parcels_.wake_sender();
     else if (armed != no_deadline)
         parcels_.arm_flush_deadline(armed);
 }
@@ -226,34 +185,27 @@ std::size_t coalescing_message_handler::flush_until(
     std::size_t flushed = 0;
     for (auto& shard : shards_)
     {
-        // Detach every non-empty queue in one critical section, then send
-        // the batches lock-free; tickets keep each destination in order.
-        std::vector<std::pair<std::uint32_t, detached_batch>> batches;
+        std::lock_guard lock(shard.lock);
+        for (auto& [dst, queue] : shard.queues)
         {
-            std::lock_guard lock(shard.lock);
-            for (auto& [dst, queue] : shard.queues)
+            if (queue.parcels.empty())
+                continue;
+            if (queue.deadline_ns > cutoff)
             {
-                if (queue.parcels.empty())
-                    continue;
-                if (queue.deadline_ns > cutoff)
-                {
-                    if (next != nullptr)
-                        *next = std::min(*next, queue.deadline_ns);
-                    continue;
-                }
-                if (deadline_flush)
-                    parcels_.note_deadline_flush(cutoff - queue.deadline_ns);
-                trace::tracer::global().record(parcels_.here(), kind,
-                    queue.parcels.front().action, queue.parcels.size());
-                auto batch = detach_batch_locked(queue);
-                batch.gauge = batch.parcels.size();
-                batches.emplace_back(dst, std::move(batch));
+                if (next != nullptr)
+                    *next = std::min(*next, queue.deadline_ns);
+                continue;
             }
+            if (deadline_flush)
+                parcels_.note_deadline_flush(cutoff - queue.deadline_ns);
+            trace::tracer::global().record(parcels_.here(), kind,
+                queue.parcels.front().action, queue.parcels.size());
+            send_locked(shard, dst, queue);
+            ++flushed;
         }
-        flushed += batches.size();
-        for (auto& [dst, batch] : batches)
-            send_batch(dst, std::move(batch));
     }
+    if (flushed != 0)
+        parcels_.wake_sender();
     return flushed;
 }
 

@@ -43,14 +43,13 @@
 /// Concurrency: destination queues live in cacheline-aligned shards
 /// (destination id & mask), each under its own spinlock, so producers
 /// aiming at different destinations never serialize against each other.
-/// Batch hand-off happens *outside* the shard lock: detaching a batch
-/// allocates a consecutive sequence ticket on the destination's
-/// parcelhandler stream while the lock is held, and
-/// parcelhandler::send_message's sequencer restores ticket order before
-/// the batch reaches the outbound queue — per-destination FIFO without
-/// lock-coupled hand-off.  See DESIGN.md §8.
+/// Every batch enters the parcelhandler's outbound queue while its shard
+/// lock is held, whichever path sends it (size, deadline, idle or forced
+/// flush, or one of the bypasses that send a parcel past its queue), so
+/// the queue lock is the one ordering point: per-destination FIFO into
+/// the outbound queue, across mode switches too.  See DESIGN.md §8.
 ///
-/// Flushing hands the batch to parcelhandler::send_message, which queues
+/// Flushing hands the batch to parcelhandler::push_message, which queues
 /// it for transmission by background work — so the modeled per-message
 /// cost lands in the Eq. 3/4 accounting regardless of which thread
 /// triggered the flush.
@@ -99,8 +98,7 @@ public:
     /// Chaos hook: drop every queued parcel without sending it (a crashed
     /// locality's coalescing queues die with the incarnation).  Returns
     /// the parcels so the caller can surface them through the
-    /// delivery-error path.  Ordering tickets are NOT consumed — the
-    /// sequencer streams stay contiguous across the purge.
+    /// delivery-error path.
     [[nodiscard]] std::vector<parcel::parcel> purge();
 
     [[nodiscard]] coalescing_params params() const
@@ -158,8 +156,6 @@ private:
         std::size_t queued_bytes = 0;
         /// now_ns() time the queue must flush by; no_deadline while empty.
         std::int64_t deadline_ns = no_deadline;
-        std::uint64_t stream = 0;    ///< parcelhandler sequencer stream id
-        std::uint64_t next_ticket = 0;    ///< seq of the next detached batch
     };
 
     struct alignas(cache_line_size) queue_shard
@@ -170,11 +166,10 @@ private:
         /// Parcels currently queued in this shard, maintained as a gauge
         /// so queued_parcels() (polled by quiescence) never takes a lock
         /// — and so the enqueue fast path touches no cacheline shared
-        /// with other shards.  Incremented under the shard lock at
-        /// enqueue; decremented only after the detached batch has been
-        /// handed to the parcelhandler, so a parcel is always visible in
-        /// at least one of queued_parcels() / pending_sends() while in
-        /// flight.
+        /// with other shards.  Incremented and decremented under the
+        /// shard lock; a batch leaves it only after its push to the
+        /// parcelhandler, so a parcel is always visible in at least one
+        /// of queued_parcels() / pending_sends() while in flight.
         std::atomic<std::size_t> gauge{0};
     };
 
@@ -183,30 +178,17 @@ private:
         return shards_[dst & (shard_count - 1)];
     }
 
-    /// Get-or-create the destination queue inside its shard (caller holds
-    /// the shard lock); allocates the sequencer stream on first use.
-    destination_queue& queue_for_locked(
-        queue_shard& shard, std::uint32_t dst);
+    /// Hand the queue's parcels to the parcelhandler as one message and
+    /// reset the queue (caller holds the shard lock).
+    void send_locked(
+        queue_shard& shard, std::uint32_t dst, destination_queue& queue);
 
-    /// Detach a destination queue's contents and stamp them with the next
-    /// ordering ticket (caller holds the shard lock).  The batch is sent
-    /// by the caller *after* dropping the lock.
-    struct detached_batch
-    {
-        std::vector<parcel::parcel> parcels;
-        parcel::send_ticket ticket;
-        /// How many of `parcels` are counted in the shard gauge (bypass
-        /// paths append a never-queued parcel after detaching).
-        std::size_t gauge = 0;
-    };
-    detached_batch detach_batch_locked(destination_queue& queue);
+    /// Send `p` past the queue: whatever is queued for `dst` goes first,
+    /// in the same message (caller holds the shard lock).
+    void send_past_locked(queue_shard& shard, std::uint32_t dst,
+        destination_queue& queue, parcel::parcel&& p);
 
-    /// Hand a detached batch for `dst` to the parcelhandler.  Called
-    /// without any shard lock held; the ticket preserves per-destination
-    /// FIFO.
-    void send_batch(std::uint32_t dst, detached_batch&& batch);
-
-    /// Detach and send every non-empty queue whose deadline is at or
+    /// Send every non-empty queue whose deadline is at or
     /// before `cutoff`, tracing each as `kind`; returns how many queues it
     /// flushed and lowers `*next` (if given) to the earliest deadline left
     /// armed.  A flush_timeout pass accounts each flush's lateness.

@@ -194,55 +194,13 @@ bool parcelhandler::idle_flush()
     return true;
 }
 
-void parcelhandler::send_message(
-    std::uint32_t dst, std::vector<parcel>&& parcels, send_ticket ticket)
+void parcelhandler::push_message(
+    std::uint32_t dst, std::vector<parcel>&& parcels)
 {
     if (parcels.empty())
         return;
     COAL_ASSERT(dst != here_);
-
-    if (ticket.stream == 0)
-        outbound_.push(send_job{dst, std::move(parcels)});
-    else
-        release_in_order(dst, std::move(parcels), ticket);
-
-    // Only workers pump progress(): a batch handed over from any other
-    // thread (a put or a handler flush from outside) wakes one.
-    if (!scheduler_.on_worker_thread())
-        scheduler_.wake();
-}
-
-void parcelhandler::release_in_order(
-    std::uint32_t dst, std::vector<parcel>&& parcels, send_ticket ticket)
-{
-    // Ticketed hand-off: the producer allocated `seq` under its own queue
-    // lock but calls us lock-free, so two batches of one stream can
-    // arrive here in either order.  Release to the outbound queue
-    // strictly in ticket order, parking early arrivals.  Holding the
-    // stream's shard lock across the pushes is what makes the release
-    // order the queue order.
-    auto& shard =
-        sequencer_shards_[ticket.stream & (sequencer_shard_count - 1)];
-    std::lock_guard lock(shard.lock);
-    auto& stream = shard.streams[ticket.stream];
-    if (ticket.seq != stream.next_seq)
-    {
-        COAL_ASSERT(ticket.seq > stream.next_seq);
-        parked_sends_.fetch_add(1, std::memory_order_release);
-        stream.parked.emplace(
-            ticket.seq, send_job{dst, std::move(parcels)});
-        return;
-    }
-
     outbound_.push(send_job{dst, std::move(parcels)});
-    ++stream.next_seq;
-    for (auto it = stream.parked.begin();
-        it != stream.parked.end() && it->first == stream.next_seq;
-        it = stream.parked.erase(it), ++stream.next_seq)
-    {
-        outbound_.push(std::move(it->second));
-        parked_sends_.fetch_sub(1, std::memory_order_release);
-    }
 }
 
 void parcelhandler::set_message_handler(
@@ -1936,11 +1894,7 @@ void parcelhandler::simulate_crash()
     std::vector<parcel> destroyed;
     std::vector<fenced_state> fenced_all;
     auto drain = [&] {
-        // Queued-but-unsent messages die with the incarnation.  (The
-        // ticket sequencer is deliberately left intact: batches detached
-        // by the coalescer before the crash still arrive with allocated
-        // tickets, and a cleared stream would park them forever.  They
-        // surface in outbound_ and are handled post-restart.)
+        // Queued-but-unsent messages die with the incarnation.
         while (auto job = outbound_.try_pop())
         {
             for (auto& p : job->parcels)

@@ -53,7 +53,6 @@
 /// cap exhausted) fails sends with `delivery_error::link_down`.  See
 /// flow_control.hpp for the full protocol description.
 
-#include <coal/common/cacheline.hpp>
 #include <coal/common/mpmc_queue.hpp>
 #include <coal/common/pressure.hpp>
 #include <coal/common/spinlock.hpp>
@@ -67,13 +66,10 @@
 #include <coal/parcel/peer_table.hpp>
 #include <coal/threading/scheduler.hpp>
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -170,19 +166,6 @@ struct reliability_params
     std::int64_t max_rto_us = 200000;
 };
 
-/// Ordering ticket for send_message.  Producers that detach batches
-/// outside their queue lock (the sharded coalescer) allocate consecutive
-/// sequence numbers on a per-destination stream *while still holding the
-/// lock*, then hand off lock-free; the parcelhandler's sequencer restores
-/// ticket order before the batch reaches the outbound queue.  A
-/// default-constructed ticket (stream 0) means "unordered, enqueue
-/// directly".
-struct send_ticket
-{
-    std::uint64_t stream = 0;    ///< 0 = no ordering requirement
-    std::uint64_t seq = 0;       ///< consecutive from 0 within a stream
-};
-
 class parcelhandler final : public threading::progress_hook
 {
 public:
@@ -210,21 +193,28 @@ public:
     /// Route an outbound parcel (thread-safe).
     void put_parcel(parcel&& p);
 
-    /// Queue a batch of parcels bound for `dst` as ONE wire message.
-    /// Called by message handlers (a coalesced flush) and internally for
-    /// singleton sends.  Actual framing/transmission happens in
-    /// background work.  A non-zero ticket routes the batch through the
-    /// per-stream sequencer: batches are released to the outbound queue
-    /// strictly in ticket order, so callers may invoke this outside the
-    /// lock that assigned the ticket.
-    void send_message(std::uint32_t dst, std::vector<parcel>&& parcels,
-        send_ticket ticket = {});
-
-    /// Allocate a fresh sequencer stream id (never 0).  One stream per
-    /// ordered producer lane — the coalescer uses one per destination.
-    [[nodiscard]] std::uint64_t allocate_send_stream() noexcept
+    /// Queue a batch of parcels bound for `dst` as ONE wire message, and
+    /// wake a worker if the caller is not one.  Actual
+    /// framing/transmission happens in background work.  Batches enter
+    /// the outbound queue in call order.
+    void send_message(std::uint32_t dst, std::vector<parcel>&& parcels)
     {
-        return next_stream_.fetch_add(1, std::memory_order_relaxed);
+        push_message(dst, std::move(parcels));
+        wake_sender();
+    }
+
+    /// send_message's two halves, for a caller that pushes under the lock
+    /// that orders its batches (the coalescer's shard lock, which makes
+    /// per-destination FIFO): it calls wake_sender() once the lock is
+    /// released, because a wake-up may be a futex call that would keep
+    /// the lock's other waiters spinning.
+    void push_message(std::uint32_t dst, std::vector<parcel>&& parcels);
+    void wake_sender()
+    {
+        // Only workers pump progress(): a batch handed over from any
+        // other thread (a put or a handler flush from outside) wakes one.
+        if (!scheduler_.on_worker_thread())
+            scheduler_.wake();
     }
 
     /// Install/remove the message handler for an action.  Installing for
@@ -294,14 +284,12 @@ public:
 
     /// Outbound messages accepted by send_message but not yet handed to
     /// the transport.  Includes frames mid-encode inside progress_send and
-    /// batches parked in the sequencer waiting for an earlier ticket, so
-    /// quiescence checks never observe zero while a message is between
-    /// the queue and the wire.
+    /// jobs deferred by flow control, so quiescence checks never observe
+    /// zero while a message is between the queue and the wire.
     [[nodiscard]] std::size_t pending_sends() const
     {
         return outbound_.size() +
             sends_in_progress_.load(std::memory_order_acquire) +
-            parked_sends_.load(std::memory_order_acquire) +
             deferred_sends_.load(std::memory_order_acquire);
     }
 
@@ -448,23 +436,6 @@ public:
 private:
     // send_job, unacked_frame, held_frame and peer_state live in
     // peer_table.hpp.
-
-    /// Reorder state for one ordered producer lane.  Lives in a sharded
-    /// map: distinct streams (≈ distinct coalescer destinations) contend
-    /// only when they hash to the same shard.
-    struct stream_state
-    {
-        std::uint64_t next_seq = 0;                  ///< next ticket to release
-        std::map<std::uint64_t, send_job> parked;    ///< out-of-order arrivals
-    };
-
-    struct alignas(cache_line_size) sequencer_shard
-    {
-        spinlock lock;
-        std::unordered_map<std::uint64_t, stream_state> streams;
-    };
-
-    static constexpr std::size_t sequencer_shard_count = 16;    // power of two
 
     /// Max inbox frames one progress_receive call consumes.  Bounds the
     /// latency a single background poll can add to the task it preempted
@@ -616,10 +587,6 @@ private:
     /// outside handlers_lock_.
     [[nodiscard]] std::vector<std::shared_ptr<message_handler>>
     installed_handlers() const;
-    /// send_message's sequencer: push a ticketed batch to the outbound
-    /// queue in ticket order, parking it until its predecessors arrive.
-    void release_in_order(
-        std::uint32_t dst, std::vector<parcel>&& parcels, send_ticket ticket);
     /// Hand a parcel to its action's message handler and arm the
     /// scheduler's idle_flush(), which flushes it once the locality idles.
     void divert(message_handler& handler, parcel&& p);
@@ -634,10 +601,6 @@ private:
 
     mpmc_queue<send_job> outbound_;
     mpmc_queue<inbound_message> inbox_;
-
-    std::array<sequencer_shard, sequencer_shard_count> sequencer_shards_;
-    std::atomic<std::uint64_t> next_stream_{1};
-    std::atomic<std::size_t> parked_sends_{0};
 
     mutable spinlock handlers_lock_;
     std::unordered_map<action_id, std::shared_ptr<message_handler>> handlers_;

@@ -29,7 +29,6 @@
 /// wake() bump, so a wake-up racing the decision to sleep is never lost;
 /// the hook says how long they may sleep before progress() must run again.
 
-#include <coal/common/mpmc_queue.hpp>
 #include <coal/common/spinlock.hpp>
 #include <coal/common/unique_function.hpp>
 #include <coal/threading/instrumentation.hpp>

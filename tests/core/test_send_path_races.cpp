@@ -138,10 +138,10 @@ void uninstall(
     handler.reset();
 }
 
-// The property the ticket sequencer must deliver: whatever mixture of
-// size flushes, deadline flushes, sparse bypasses, and concurrent forced
-// flushes detaches the batches, each producer's parcels toward one
-// destination appear on the wire in enqueue order.
+// The property the hand-off under the shard lock must deliver: whatever
+// mixture of size flushes, deadline flushes, sparse bypasses, and
+// concurrent forced flushes sends the batches, each producer's parcels
+// toward one destination appear on the wire in enqueue order.
 TEST(SendPathRaces, PerDestinationFifoUnderConcurrentProducers)
 {
     constexpr unsigned producers = 4;
@@ -220,9 +220,11 @@ TEST(SendPathRaces, PerDestinationFifoUnderConcurrentProducers)
             std::uint64_t const seq = v & 0xffffffffull;
             auto const it = last_seq.find(producer);
             if (it != last_seq.end())
+            {
                 EXPECT_LT(it->second, seq)
                     << "wire reorder: producer " << producer << " at dst "
                     << dst;
+            }
             last_seq[producer] = seq;
         }
     }
@@ -231,6 +233,50 @@ TEST(SendPathRaces, PerDestinationFifoUnderConcurrentProducers)
     EXPECT_EQ(total, producers * per_producer);
     EXPECT_EQ(counters->parcels(), producers * per_producer);
     EXPECT_EQ(counters->parcels_in_messages(), producers * per_producer);
+}
+
+// A parcel sent past its queue (here: coalescing switched off while a
+// parcel waits out a long deadline) goes after what is already queued for
+// its destination, not ahead of it.
+TEST(SendPathRaces, DisablingCoalescingKeepsQueuedParcelsFirst)
+{
+    recorded sink;
+    recording_transport transport(sink, 2);
+    scheduler_config cfg;
+    cfg.num_workers = 1;
+    scheduler sched(cfg);
+    parcelhandler ph(0, transport, sched);
+
+    auto params = std::make_shared<shared_params>(
+        coalescing_params{64, 1000000, 1 << 20, false});
+    auto counters = std::make_shared<coalescing_counters>();
+    auto handler = install(ph, params, counters);
+    auto send = [&](std::uint64_t seq) {
+        coal::parcel::parcel p;
+        p.dest = 1;
+        p.action = sendrace_noop_action::id();
+        p.arguments = sendrace_noop_action::make_arguments(pack(0, seq));
+        handler->enqueue(std::move(p));
+    };
+
+    send(0);    // queued behind a 1 s deadline
+    EXPECT_EQ(handler->queued_parcels(), 1u);
+    auto off = handler->params();
+    off.nparcels = 1;
+    handler->set_params(off);
+    send(1);    // coalescing off: sent at once
+    handler->flush();
+
+    for (int spin = 0; spin != 20000 && ph.pending_sends() != 0; ++spin)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    ASSERT_EQ(ph.pending_sends(), 0u);
+    EXPECT_EQ(handler->queued_parcels(), 0u);
+    uninstall(ph, handler);
+    sched.stop();
+    ph.stop();
+
+    std::lock_guard lock(sink.m);
+    EXPECT_EQ(sink.order[1], (std::vector<std::uint64_t>{0, 1}));
 }
 
 // Hammer all shards plus queued_parcels() observers; conservation must

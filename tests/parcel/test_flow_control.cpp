@@ -221,10 +221,11 @@ TEST(FlowControl, WindowExhaustionDefersAndReleasesWithoutLoss)
 
 TEST(FlowControl, DeferredSendsKeepTicketOrder)
 {
-    // One ticketed stream through a 512 B window: most batches defer, and
-    // released jobs re-enter the outbound queue behind newer ones.  Each
-    // peer's deferred and released jobs must still go out before any
-    // newer job to that peer, so the receiver executes in ticket order.
+    // 3000 batches sent in order from one thread through a 512 B window:
+    // most batches defer, and released jobs re-enter the outbound queue
+    // behind newer ones.  Each peer's deferred and released jobs must
+    // still go out before any newer job to that peer, so the receiver
+    // executes in send order.
     flow_params flow = tight_flow();
     flow.link_inflight_cap_bytes = 64 << 20;    // never link_down
     flow_harness h(fault_plan{}, flow);
@@ -243,8 +244,7 @@ TEST(FlowControl, DeferredSendsKeepTicketOrder)
         p.arguments = flow_order_record_action::make_arguments(seq);
         std::vector<parcel> batch;
         batch.push_back(std::move(p));
-        h.ph0.send_message(
-            1, std::move(batch), coal::parcel::send_ticket{1, seq});
+        h.ph0.send_message(1, std::move(batch));
     }
     h.settle();
 
